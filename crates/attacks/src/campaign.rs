@@ -1,5 +1,4 @@
-//! Checkpointed, resumable attack campaigns with fault injection and
-//! straggler defense.
+//! Checkpointed, resumable attack campaigns with fault injection.
 //!
 //! A [`Campaign`] is the long-running driver for a set of [`DseJob`]s: it
 //! schedules them on a [`raindrop_sched::Scheduler`], advances every attack
@@ -7,9 +6,10 @@
 //! checkpoints durable state to disk between slices so a killed process
 //! loses at most one slice of work per job. The checkpoint file reuses the
 //! [`recfile`] discipline of the artifact store: a magic+version header,
-//! framed records with per-record crc64 seals, and tolerant replay — a
-//! torn or corrupted record demotes the affected jobs to "restart from
-//! scratch" instead of poisoning the campaign.
+//! framed records each sealed with a 64-bit checksum
+//! ([`recfile::stable_hash64`]), and tolerant replay — a torn or corrupted
+//! record demotes the affected jobs to "restart from scratch" instead of
+//! poisoning the campaign.
 //!
 //! # What is (and is not) persisted
 //!
@@ -29,20 +29,22 @@
 //! position alone: resuming a campaign against a changed job list restarts
 //! the changed jobs from scratch.
 //!
-//! # Robustness layer
+//! # The driver loop
+//!
+//! Every job holds at most one slice in the scheduler's FIFO queue, so jobs
+//! interleave slice by slice. Each slice job catches its own panic and
+//! sends `(job, result)` on one channel; the driver blocks on that channel
+//! and, for each completion, checkpoints and then submits the job's next
+//! slice (or a retry). Nothing is polled and no slice is ever cancelled
+//! while it runs: a slice's cost is bounded by its path cap and the job's
+//! [`DseBudget::max_wall`](crate::concolic::DseBudget::max_wall).
 //!
 //! * slices that panic are retried with exponential backoff up to
 //!   [`CampaignConfig::max_retries`], then recorded as `Failed`;
-//! * slices exceeding [`CampaignConfig::slice_timeout`] are cancelled and
-//!   requeued under the same handle ([`Scheduler::requeue`]);
-//! * jobs whose accumulated wall exceeds
-//!   [`CampaignConfig::straggler_factor`] × the median wall of completed
-//!   jobs are demoted to low priority (and their queued slice is requeued
-//!   there), so one pathological attack cannot starve the campaign;
 //! * a [`FaultPlan`] injects the failures the integration tests drive:
 //!   kill the campaign after K checkpoint writes (optionally flipping or
 //!   truncating checkpoint bytes, simulating a torn write at crash time)
-//!   and panic inside a worker.
+//!   and panic inside a worker. A kill cancels the slices still queued.
 //!
 //! Under work-bounded budgets a killed-and-resumed campaign converges to
 //! the same per-job verdicts, witnesses and schedules as an uninterrupted
@@ -51,17 +53,18 @@
 //! [`recfile`]: raindrop_server::recfile
 
 use crate::concolic::{DseAttack, DseAudit, DseExplorer, DseFrontier, DseOutcome};
-use crate::fleet::DseJob;
+use crate::fleet::{workers_from_env, DseJob};
 use raindrop::stable_hash_bytes;
-use raindrop_sched::{JobCtl, JobHandle, JobOutcome, Scheduler};
+use raindrop_sched::{panic_message, JobCtl, JobHandle, Scheduler};
 use raindrop_server::codec::encode_image;
 use raindrop_server::recfile::{self, FramedReader};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Magic of the campaign checkpoint log.
@@ -74,28 +77,17 @@ pub const CAMPAIGN_LOG: &str = "campaign.rdc";
 /// Tuning knobs of the campaign driver.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Scheduler worker threads (0 = the machine's available parallelism).
+    /// Scheduler worker threads (0 = [`workers_from_env`]).
     pub workers: usize,
     /// Paths explored per slice: the checkpoint granularity. Smaller slices
     /// lose less work per crash but pay more checkpoint and re-execution
     /// overhead.
     pub slice: usize,
-    /// Consecutive failed attempts (panic or timeout) a slice may burn
-    /// before the job is recorded as `Failed`.
+    /// Consecutive panicked attempts a slice may burn before the job is
+    /// recorded as `Failed`.
     pub max_retries: u32,
     /// Base backoff before retrying a failed slice; doubles per attempt.
     pub retry_backoff: Duration,
-    /// Wall limit for one slice in flight; beyond it the slice is
-    /// cancelled and requeued (counting one retry).
-    pub slice_timeout: Duration,
-    /// A job is a straggler when its accumulated wall exceeds this factor
-    /// times the median wall of completed jobs (0 demotes anything still
-    /// running once the median exists — useful in tests).
-    pub straggler_factor: u32,
-    /// Completed jobs required before the straggler median is trusted.
-    pub straggler_after: usize,
-    /// Poll quantum used when waiting on in-flight slices.
-    pub poll: Duration,
 }
 
 impl Default for CampaignConfig {
@@ -105,10 +97,6 @@ impl Default for CampaignConfig {
             slice: 4,
             max_retries: 2,
             retry_backoff: Duration::from_millis(10),
-            slice_timeout: Duration::from_secs(120),
-            straggler_factor: 4,
-            straggler_after: 2,
-            poll: Duration::from_millis(2),
         }
     }
 }
@@ -151,7 +139,7 @@ pub enum JobState {
     },
     /// The job exhausted its retry budget.
     Failed {
-        /// The last failure reason (panic message or timeout).
+        /// The last failure reason (the panic message).
         reason: String,
         /// Attempts burned.
         attempts: u32,
@@ -171,7 +159,7 @@ pub struct CheckpointRecord {
 
 /// Replays a checkpoint log image: the decoded records in file order, plus
 /// the number of trailing bytes dropped as torn/corrupt. Replay is
-/// all-or-prefix — a damaged frame (bad length, bad crc64, undecodable
+/// all-or-prefix — a damaged frame (bad length, bad checksum, undecodable
 /// payload) ends it, so a corrupted byte can only ever *remove* state
 /// (demoting jobs to restart), never alter it.
 pub fn replay_log(bytes: &[u8]) -> (Vec<CheckpointRecord>, u64) {
@@ -214,11 +202,13 @@ pub struct CampaignStats {
     pub checkpoint_bytes: u64,
     /// Wall time spent writing and syncing checkpoints.
     pub checkpoint_write_wall: Duration,
-    /// Slices submitted to the scheduler (excluding requeues).
+    /// Slices submitted to the scheduler (a retried slice counts again).
     pub slices_run: u64,
     /// Failed slice attempts that were retried.
     pub retries: u64,
-    /// Jobs demoted to low priority by the straggler defense.
+    /// Always 0: the driver does not demote slow jobs, because slices
+    /// already interleave through the FIFO queue. Kept so readers of this
+    /// report's schema keep working.
     pub stragglers_demoted: u64,
     /// Jobs restored as `Done`/`Failed` straight from the log.
     pub jobs_recovered: usize,
@@ -387,6 +377,10 @@ fn run_slice(
     }
 }
 
+/// What a slice job sends back to the driver: the job's index and the
+/// slice's result, or its panic message.
+type SliceDone = (usize, Result<SliceRun, String>);
+
 /// In-memory tracking of one campaign job.
 struct JobSlot {
     /// Index in the submitted job list (the log key).
@@ -397,15 +391,10 @@ struct JobSlot {
     frontier: Option<DseFrontier>,
     /// Terminal state, once reached.
     resolved: Option<JobState>,
-    /// The in-flight slice, when one is scheduled.
-    handle: Option<JobHandle<SliceRun>>,
-    /// When the in-flight slice was submitted.
-    slice_started: Instant,
+    /// The slice in flight, kept so a kill can cancel it while queued.
+    handle: Option<JobHandle<()>>,
     /// Consecutive failed attempts of the current slice.
     attempts: u32,
-    /// Wall accumulated across this job's finished slices.
-    wall: Duration,
-    demoted: bool,
     /// One-shot worker-panic fault still to fire.
     panic_armed: bool,
 }
@@ -488,91 +477,62 @@ impl Campaign {
     /// [`JobState::Failed`].
     pub fn run(mut self, jobs: Vec<DseJob>) -> io::Result<CampaignReport> {
         let workers = match self.config.workers {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            0 => workers_from_env(),
             n => n,
         };
         let mut slots = self.seed_slots(jobs);
         let sched: Scheduler<()> = Scheduler::new(workers);
+        let (done_tx, done_rx) = mpsc::channel::<SliceDone>();
         for slot in slots.iter_mut() {
             if slot.resolved.is_none() {
-                self.submit_slice(&sched, slot);
+                self.submit_slice(&sched, &done_tx, slot);
             }
         }
 
-        let mut completed_walls: Vec<Duration> =
-            slots.iter().filter_map(|s| terminal_wall(s.resolved.as_ref())).collect();
-        let killed = 'drive: loop {
-            let mut open_jobs = false;
-            for i in 0..slots.len() {
-                if slots[i].resolved.is_some() {
-                    continue;
+        let mut killed = false;
+        while slots.iter().any(|s| s.handle.is_some()) {
+            let (i, result) = done_rx.recv().expect("the driver holds a sender");
+            let slot = &mut slots[i];
+            slot.handle = None;
+            killed = match result {
+                Ok(SliceRun::Done(result)) => {
+                    let (outcome, audit) = *result;
+                    let state = JobState::Done { outcome, audit };
+                    let kill = self.checkpoint(slot, &state)?;
+                    slot.resolved = Some(state);
+                    kill
                 }
-                open_jobs = true;
-                let Some(handle) = slots[i].handle.take() else { continue };
-                let done = match handle.wait_timeout(self.config.poll) {
-                    Err(handle) => {
-                        self.police_slice(&sched, &mut slots[i], handle)?;
-                        continue;
+                Ok(SliceRun::Paused(frontier)) => {
+                    slot.attempts = 0;
+                    let state = JobState::InFlight { frontier: (*frontier).clone(), attempts: 0 };
+                    slot.frontier = Some(*frontier);
+                    let kill = self.checkpoint(slot, &state)?;
+                    if !kill {
+                        self.submit_slice(&sched, &done_tx, slot);
                     }
-                    Ok(done) => done,
-                };
-                match done.outcome {
-                    JobOutcome::Completed(SliceRun::Done(result)) => {
-                        let (outcome, audit) = *result;
-                        completed_walls.push(outcome.wall);
-                        let state = JobState::Done { outcome, audit };
-                        let kill = self.checkpoint(&slots[i], &state)?;
-                        slots[i].resolved = Some(state);
-                        if kill {
-                            break 'drive true;
-                        }
-                        self.scan_stragglers(&sched, &mut slots, &completed_walls);
-                    }
-                    JobOutcome::Completed(SliceRun::Paused(frontier)) => {
-                        slots[i].attempts = 0;
-                        slots[i].wall = frontier.wall;
-                        let state =
-                            JobState::InFlight { frontier: (*frontier).clone(), attempts: 0 };
-                        slots[i].frontier = Some(*frontier);
-                        let kill = self.checkpoint(&slots[i], &state)?;
-                        if kill {
-                            break 'drive true;
-                        }
-                        self.submit_slice(&sched, &mut slots[i]);
-                    }
-                    JobOutcome::Panicked(reason) => {
-                        if self.fail_or_retry(&sched, &mut slots[i], reason)? {
-                            break 'drive true;
-                        }
-                    }
-                    JobOutcome::Cancelled => {
-                        // A cancelled attempt that was not requeued (e.g. a
-                        // kill raced the queue): just schedule the slice
-                        // again from the last checkpoint.
-                        self.submit_slice(&sched, &mut slots[i]);
-                    }
+                    kill
                 }
+                Err(reason) => self.fail_or_retry(&sched, &done_tx, slot, reason)?,
+            };
+            if killed {
+                break;
             }
-            if !open_jobs {
-                break false;
-            }
-        };
+        }
 
         if killed {
-            for slot in &slots {
-                if let Some(handle) = &slot.handle {
-                    handle.cancel();
-                }
+            for handle in slots.iter().filter_map(|s| s.handle.as_ref()) {
+                handle.cancel();
             }
-            drop(sched);
-            self.apply_kill_corruption()?;
-            return Ok(self.report(
-                slots,
-                CampaignStatus::Killed { after_checkpoints: self.stats.checkpoints_written },
-            ));
         }
+        // Drains the slices still running; their results are not needed.
         drop(sched);
-        Ok(self.report(slots, CampaignStatus::Completed))
+        let status = if killed {
+            self.apply_kill_corruption()?;
+            CampaignStatus::Killed { after_checkpoints: self.stats.checkpoints_written }
+        } else {
+            CampaignStatus::Completed
+        };
+        Ok(self.report(slots, status))
     }
 
     /// Builds the per-job slots, consuming the replayed log states.
@@ -588,10 +548,7 @@ impl Campaign {
                     frontier: None,
                     resolved: None,
                     handle: None,
-                    slice_started: Instant::now(),
                     attempts: 0,
-                    wall: Duration::ZERO,
-                    demoted: false,
                     panic_armed: self.faults.panic_once.contains(&i),
                 };
                 match self.recovered.get(&(i as u64)) {
@@ -602,7 +559,6 @@ impl Campaign {
                         }
                         JobState::InFlight { frontier, attempts } => {
                             self.stats.jobs_resumed += 1;
-                            slot.wall = frontier.wall;
                             slot.attempts = *attempts;
                             slot.frontier = Some(frontier.clone());
                         }
@@ -616,64 +572,29 @@ impl Campaign {
             .collect()
     }
 
-    /// Submits the next slice of `slot` at its current priority.
-    fn submit_slice(&mut self, sched: &Scheduler<()>, slot: &mut JobSlot) {
+    /// Submits the next slice of `slot`. The slice job catches its own
+    /// panic and reports either way on `done`.
+    fn submit_slice(
+        &mut self,
+        sched: &Scheduler<()>,
+        done: &mpsc::Sender<SliceDone>,
+        slot: &mut JobSlot,
+    ) {
+        let index = slot.index as usize;
         let job = Arc::clone(&slot.job);
         let from = slot.frontier.clone();
         let slice = self.config.slice.max(1);
         let panic_fault = std::mem::take(&mut slot.panic_armed);
-        let priority = if slot.demoted { -1 } else { 0 };
-        slot.slice_started = Instant::now();
+        let done = done.clone();
         self.stats.slices_run += 1;
-        slot.handle = Some(sched.submit_prio(priority, move |_: &mut (), _: &JobCtl| {
-            run_slice(&job, from.as_ref(), slice, panic_fault)
+        slot.handle = Some(sched.submit(move |_: &mut (), _: &JobCtl| {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_slice(&job, from.as_ref(), slice, panic_fault)
+            }))
+            .map_err(|payload| panic_message(payload.as_ref()));
+            // A send fails only once a killed driver has stopped listening.
+            let _ = done.send((index, result));
         }));
-    }
-
-    /// Timeout policing of an in-flight slice: hands the handle back when
-    /// within budget, otherwise cancels and requeues (or fails the job once
-    /// retries are exhausted).
-    fn police_slice(
-        &mut self,
-        sched: &Scheduler<()>,
-        slot: &mut JobSlot,
-        handle: JobHandle<SliceRun>,
-    ) -> io::Result<()> {
-        if slot.slice_started.elapsed() <= self.config.slice_timeout {
-            slot.handle = Some(handle);
-            return Ok(());
-        }
-        slot.attempts += 1;
-        handle.cancel();
-        if slot.attempts > self.config.max_retries {
-            let state = JobState::Failed {
-                reason: format!("slice exceeded {:?}", self.config.slice_timeout),
-                attempts: slot.attempts,
-            };
-            self.checkpoint(slot, &state)?;
-            slot.resolved = Some(state);
-            // The kill check is deliberately ignored here: a fail record on
-            // the timeout path is not a checkpoint boundary worth killing
-            // at (the integration tests kill at progress checkpoints).
-            return Ok(());
-        }
-        self.stats.retries += 1;
-        let job = Arc::clone(&slot.job);
-        let from = slot.frontier.clone();
-        let slice = self.config.slice.max(1);
-        let priority = if slot.demoted { -1 } else { 0 };
-        slot.slice_started = Instant::now();
-        let superseded = sched.requeue(&handle, priority, move |_: &mut (), _: &JobCtl| {
-            run_slice(&job, from.as_ref(), slice, false)
-        });
-        // If the cancel lost the race and the old attempt completed, its
-        // result is superseded by the requeued attempt, which re-runs the
-        // same slice from the same frontier — deterministic duplicate work,
-        // never divergent state.
-        drop(superseded);
-        slot.handle = Some(handle);
-        std::thread::sleep(self.backoff(slot.attempts));
-        Ok(())
     }
 
     /// Retry-with-backoff on a panicked slice; `Failed` once retries are
@@ -681,6 +602,7 @@ impl Campaign {
     fn fail_or_retry(
         &mut self,
         sched: &Scheduler<()>,
+        done: &mpsc::Sender<SliceDone>,
         slot: &mut JobSlot,
         reason: String,
     ) -> io::Result<bool> {
@@ -693,7 +615,7 @@ impl Campaign {
         }
         self.stats.retries += 1;
         std::thread::sleep(self.backoff(slot.attempts));
-        self.submit_slice(sched, slot);
+        self.submit_slice(sched, done, slot);
         Ok(false)
     }
 
@@ -701,46 +623,8 @@ impl Campaign {
         self.config.retry_backoff * 2u32.saturating_pow(attempts.saturating_sub(1).min(16))
     }
 
-    /// Demotes jobs whose accumulated wall exceeds the straggler cap and
-    /// requeues their queued slice at low priority under the same handle.
-    fn scan_stragglers(
-        &mut self,
-        sched: &Scheduler<()>,
-        slots: &mut [JobSlot],
-        completed_walls: &[Duration],
-    ) {
-        if completed_walls.len() < self.config.straggler_after.max(1) {
-            return;
-        }
-        let mut sorted = completed_walls.to_vec();
-        sorted.sort();
-        let cap = sorted[sorted.len() / 2] * self.config.straggler_factor;
-        for slot in slots.iter_mut() {
-            if slot.resolved.is_some() || slot.demoted {
-                continue;
-            }
-            if slot.wall + slot.slice_started.elapsed() <= cap {
-                continue;
-            }
-            slot.demoted = true;
-            self.stats.stragglers_demoted += 1;
-            if let Some(handle) = slot.handle.take() {
-                handle.cancel();
-                let job = Arc::clone(&slot.job);
-                let from = slot.frontier.clone();
-                let slice = self.config.slice.max(1);
-                slot.slice_started = Instant::now();
-                let superseded = sched.requeue(&handle, -1, move |_: &mut (), _: &JobCtl| {
-                    run_slice(&job, from.as_ref(), slice, false)
-                });
-                drop(superseded);
-                slot.handle = Some(handle);
-            }
-        }
-    }
-
-    /// Appends one framed, crc-sealed record and syncs it. Returns whether
-    /// the fault plan's kill fires at this checkpoint.
+    /// Appends one framed, checksum-sealed record and syncs it. Returns
+    /// whether the fault plan's kill fires at this checkpoint.
     fn checkpoint(&mut self, slot: &JobSlot, state: &JobState) -> io::Result<bool> {
         let started = Instant::now();
         let record = CheckpointRecord {
@@ -793,15 +677,6 @@ impl Campaign {
             })
             .collect();
         CampaignReport { status, jobs, stats: self.stats.clone() }
-    }
-}
-
-/// Wall clock a terminal state accounts for (straggler median seeding on
-/// resumed campaigns).
-fn terminal_wall(state: Option<&JobState>) -> Option<Duration> {
-    match state {
-        Some(JobState::Done { outcome, .. }) => Some(outcome.wall),
-        _ => None,
     }
 }
 

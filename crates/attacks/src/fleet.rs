@@ -1,28 +1,28 @@
-//! A work-queue fleet that shards attack jobs across worker threads.
+//! Self-contained DSE jobs, and the worker count that batches of them run
+//! on.
 //!
 //! The DSE-bound experiment suites (`exp_table2`, `exp_efficacy`,
-//! `exp_dse_speed`) attack many corpus functions independently; the fleet
-//! runs them over the shared scheduling core in `raindrop-sched` — the same
-//! work-stealing primitives that drive the protection server. Each worker
-//! owns its emulators outright — the fork-point engine inside every
-//! [`DseAttack`] keeps one warm emulator per job and revives it between
-//! paths with [`Snapshot`] restores (and forks of it are cheap, see
-//! [`Emulator::fork`]), and each attack owns its hash-consed expression
-//! arena and solver outright (`ExprId`s never cross a job boundary; the
-//! solve cache's structural-hash keys are arena-independent but private to
-//! the attack), so no state is shared and no locking happens on the hot
-//! path; the queue is touched once per job.
+//! `exp_dse_speed`) attack many corpus functions independently: each
+//! [`DseJob`] is one attack, and a batch of them runs through
+//! [`raindrop_sched::scoped_map`] (`|_, job| job.run()`) on
+//! [`workers_from_env`] threads — the same work-stealing primitives that
+//! drive the protection server. Each worker owns its emulators outright —
+//! the fork-point engine inside every [`DseAttack`] keeps one warm emulator
+//! per job and revives it between paths with [`Snapshot`] restores (and
+//! forks of it are cheap, see [`Emulator::fork`]), and each attack owns its
+//! hash-consed expression arena and solver outright (`ExprId`s never cross
+//! a job boundary; the solve cache's structural-hash keys are
+//! arena-independent but private to the attack), so no state is shared and
+//! no locking happens on the hot path; the queue is touched once per job.
 //!
 //! Jobs are deterministic and independent, so under *work-bounded*
-//! budgets (instructions, paths, solver calls) the result of a fleet run
-//! does not depend on the worker count — a 1-worker and an N-worker fleet
-//! produce identical outcomes in identical order (pinned by the
+//! budgets (instructions, paths, solver calls) the result of a batch does
+//! not depend on the worker count — 1 and N workers produce identical
+//! outcomes in identical order (pinned by the
 //! `fleet_results_are_independent_of_worker_count` test). The one caveat
 //! is [`DseBudget::max_wall`]: it measures real time, so oversubscribing
 //! workers past the machine's cores slows every attack down and can push
 //! a wall-bounded attack over its limit that a 1-worker run would finish.
-//! The worker count defaults to the machine's available parallelism and
-//! can be pinned with the `RAINDROP_DSE_WORKERS` environment variable.
 //!
 //! [`Emulator::fork`]: raindrop_machine::Emulator::fork
 //! [`Snapshot`]: raindrop_machine::Snapshot
@@ -30,7 +30,7 @@
 use crate::concolic::{DseAttack, DseBudget, DseOutcome, ExploreMode, Goal, InputSpec};
 use raindrop_machine::Image;
 
-/// One DSE job for the fleet: everything needed to mount a self-contained
+/// One DSE job: everything needed to mount a self-contained
 /// attack on one function of one prepared image.
 pub struct DseJob {
     /// Job label carried through to the result (e.g. `"<config>/<fun>"`).
@@ -70,8 +70,8 @@ impl DseJob {
         }
     }
 
-    /// Runs this job to completion (self-contained; used by the fleet and
-    /// directly submittable to a [`raindrop_sched::Scheduler`]).
+    /// Runs this job to completion (self-contained, so it can run on any
+    /// worker of a [`raindrop_sched::scoped_map`] batch).
     pub fn run(self) -> DseJobResult {
         let mut attack = DseAttack::new(&self.image, &self.func, self.spec.clone(), self.budget)
             .with_mode(self.mode);
@@ -80,7 +80,7 @@ impl DseJob {
     }
 }
 
-/// The outcome of one fleet job, tagged with its label.
+/// The outcome of one [`DseJob`], tagged with its label.
 #[derive(Debug, Clone)]
 pub struct DseJobResult {
     /// The label of the job that produced this result.
@@ -89,51 +89,15 @@ pub struct DseJobResult {
     pub outcome: DseOutcome,
 }
 
-/// A work-stealing executor for independent attack jobs: a thin veneer over
-/// [`raindrop_sched::scoped_map`], kept for its batch-oriented API and its
-/// `RAINDROP_DSE_WORKERS` sizing convention.
-pub struct AttackFleet {
-    workers: usize,
-}
-
-impl AttackFleet {
-    /// Creates a fleet with a fixed worker count (clamped to at least 1).
-    pub fn new(workers: usize) -> AttackFleet {
-        AttackFleet { workers: workers.max(1) }
-    }
-
-    /// Creates a fleet sized by `RAINDROP_DSE_WORKERS` if set, otherwise by
-    /// the machine's available parallelism.
-    pub fn from_env() -> AttackFleet {
-        let workers = std::env::var("RAINDROP_DSE_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        AttackFleet::new(workers)
-    }
-
-    /// The number of worker threads this fleet spawns.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs `f` over every item on a temporary work-stealing pool and
-    /// returns the results in item order (see
-    /// [`raindrop_sched::scoped_map`]); `f` must be deterministic per item
-    /// for fleet runs to be reproducible across worker counts.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        raindrop_sched::scoped_map(self.workers, items, f)
-    }
-
-    /// Runs a batch of DSE jobs and returns their outcomes in job order.
-    pub fn run_dse(&self, jobs: Vec<DseJob>) -> Vec<DseJobResult> {
-        self.map(jobs, |_, job| job.run())
-    }
+/// The worker count for DSE batches and campaigns: `RAINDROP_DSE_WORKERS`
+/// when it is set to a number, otherwise the machine's available
+/// parallelism; never less than 1.
+pub fn workers_from_env() -> usize {
+    std::env::var("RAINDROP_DSE_WORKERS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .max(1)
 }
 
 #[cfg(test)]
@@ -141,19 +105,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_preserves_item_order_and_balances_work() {
-        let fleet = AttackFleet::new(4);
-        let items: Vec<u64> = (0..32).collect();
-        let out = fleet.map(items, |i, v| {
-            assert_eq!(i as u64, v);
-            v * 2
-        });
-        assert_eq!(out, (0..32).map(|v| v * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn worker_count_is_clamped_and_env_independent_by_default() {
-        assert_eq!(AttackFleet::new(0).workers(), 1);
-        assert!(AttackFleet::from_env().workers() >= 1);
+        assert!(workers_from_env() >= 1);
     }
 }

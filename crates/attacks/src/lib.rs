@@ -16,11 +16,13 @@
 //!   snapshot restores and a normalized constraint/solve cache, goals G1
 //!   (secret finding) and G2 (code coverage), all under explicit work
 //!   budgets;
-//! * [`fleet`] — a work-queue [`AttackFleet`] sharding independent DSE jobs
-//!   across worker threads;
+//! * [`fleet`] — self-contained [`DseJob`]s and [`workers_from_env`], the
+//!   worker count batches of them run on through
+//!   [`raindrop_sched::scoped_map`];
 //! * [`campaign`] — a checkpointed, resumable [`Campaign`] driver over many
-//!   DSE jobs: durable crc-sealed checkpoints, kill-and-resume convergence,
-//!   bounded retry, straggler demotion and a fault-injection harness;
+//!   DSE jobs: one completion-driven loop over a FIFO scheduler, durable
+//!   checksum-sealed checkpoints, kill-and-resume convergence, bounded
+//!   retry of panicked slices and a fault-injection harness;
 //! * [`tds`] — taint-driven simplification of execution traces (attack
 //!   surface A3);
 //! * [`ropaware`] — ROPMEMU-style flag-flip exploration and
@@ -78,7 +80,7 @@ pub use concolic::{
     shadow_run, DseAttack, DseAudit, DseBudget, DseExhaustion, DseExplorer, DseFrontier,
     DseOutcome, ExploreMode, Goal, InputSpec, PathRecord, ShadowRun,
 };
-pub use fleet::{AttackFleet, DseJob, DseJobResult};
+pub use fleet::{workers_from_env, DseJob, DseJobResult};
 pub use ropaware::{chain_symbol, flip_exploration, gadget_guess, FlipReport, GuessReport};
 pub use solver::{Assignment, Constraint, SearchSolver, SetDigest, Solver, VarDomain};
 pub use static_lift::{lift_function, lift_image, LiftReport};

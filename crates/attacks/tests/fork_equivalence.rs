@@ -12,7 +12,7 @@
 
 use raindrop::{Rewriter, RopConfig};
 use raindrop_attacks::concolic::{DseAttack, DseBudget, ExploreMode, Goal, InputSpec};
-use raindrop_attacks::fleet::{AttackFleet, DseJob};
+use raindrop_attacks::fleet::DseJob;
 use raindrop_machine::Image;
 use raindrop_obfvm::{apply, VmConfig};
 use raindrop_synth::{codegen, generate_randomfun, paper_structures, Goal as RfGoal, RandomFun};
@@ -221,8 +221,8 @@ fn fleet_results_are_independent_of_worker_count() {
         }
         out
     };
-    let one = AttackFleet::new(1).run_dse(jobs());
-    let many = AttackFleet::new(3).run_dse(jobs());
+    let one = raindrop_sched::scoped_map(1, jobs(), |_, job| job.run());
+    let many = raindrop_sched::scoped_map(3, jobs(), |_, job| job.run());
     assert_eq!(one.len(), many.len());
     for (a, b) in one.iter().zip(&many) {
         assert_eq!(a.label, b.label, "job order is preserved");

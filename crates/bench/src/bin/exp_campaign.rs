@@ -173,13 +173,7 @@ fn make_jobs(smoke: bool) -> Vec<DseJob> {
 }
 
 fn config() -> CampaignConfig {
-    CampaignConfig {
-        workers: 2,
-        slice: 2,
-        poll: Duration::from_millis(1),
-        slice_timeout: Duration::from_secs(3600),
-        ..CampaignConfig::default()
-    }
+    CampaignConfig { workers: 2, slice: 2, ..CampaignConfig::default() }
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {

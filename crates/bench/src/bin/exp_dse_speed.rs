@@ -9,8 +9,9 @@
 //!   so the pass isolates the snapshot-restore win);
 //! * `fork_1worker` — fork-point snapshots, single worker: the flipped
 //!   branch resumes from the captured snapshot;
-//! * `fork_fleet` — fork-point snapshots sharded over an [`AttackFleet`]
-//!   sized by `RAINDROP_DSE_WORKERS` / the machine's parallelism.
+//! * `fork_fleet` — fork-point snapshots sharded over
+//!   [`raindrop_sched::scoped_map`] on [`workers_from_env`] workers
+//!   (`RAINDROP_DSE_WORKERS` / the machine's parallelism).
 //!
 //! The JSON embeds the frozen pre-PR baseline (the seed explorer before
 //! fork points and constraint caching existed, measured on the same job
@@ -34,7 +35,7 @@
 #![warn(missing_docs)]
 
 use raindrop_attacks::concolic::shadow_run;
-use raindrop_attacks::fleet::{AttackFleet, DseJob};
+use raindrop_attacks::fleet::{workers_from_env, DseJob};
 use raindrop_attacks::{DseAttack, ExploreMode, Goal, InputSpec};
 use raindrop_bench::{
     depth_stress_budget, depth_stress_loop_size, depth_stress_randomfun,
@@ -343,7 +344,7 @@ fn print_depth_stress(r: &DepthStressResult, smoke: bool) {
     }
 }
 
-fn run_pass(mode_label: &str, mode: ExploreMode, fleet: &AttackFleet, smoke: bool) -> PassResult {
+fn run_pass(mode_label: &str, mode: ExploreMode, workers: usize, smoke: bool) -> PassResult {
     let budget = dse_speed_budget(smoke);
     let jobs: Vec<DseJob> = dse_speed_suite(smoke)
         .into_iter()
@@ -354,7 +355,7 @@ fn run_pass(mode_label: &str, mode: ExploreMode, fleet: &AttackFleet, smoke: boo
         })
         .collect();
     let start = Instant::now();
-    let results = fleet.run_dse(jobs);
+    let results = raindrop_sched::scoped_map(workers, jobs, |_, job| job.run());
     let total = start.elapsed().as_secs_f64();
     let jobs: Vec<JobResult> = results
         .into_iter()
@@ -375,17 +376,12 @@ fn run_pass(mode_label: &str, mode: ExploreMode, fleet: &AttackFleet, smoke: boo
         .collect();
     println!(
         "  {mode_label:<14} ({} worker{}): {total:>8.3}s total, {} jobs, {} succeeded",
-        fleet.workers(),
-        if fleet.workers() == 1 { "" } else { "s" },
+        workers,
+        if workers == 1 { "" } else { "s" },
         jobs.len(),
         jobs.iter().filter(|j| j.success).count()
     );
-    PassResult {
-        mode: mode_label.to_string(),
-        workers: fleet.workers(),
-        total_wall_seconds: total,
-        jobs,
-    }
+    PassResult { mode: mode_label.to_string(), workers, total_wall_seconds: total, jobs }
 }
 
 fn main() {
@@ -404,12 +400,10 @@ fn main() {
     }
 
     println!("[exp_dse_speed] measuring the {} suite", if smoke { "smoke" } else { "full" });
-    let one = AttackFleet::new(1);
-    let fleet = AttackFleet::from_env();
     let measured = vec![
-        run_pass("rerun_1worker", ExploreMode::Rerun, &one, smoke),
-        run_pass("fork_1worker", ExploreMode::ForkPoint, &one, smoke),
-        run_pass("fork_fleet", ExploreMode::ForkPoint, &fleet, smoke),
+        run_pass("rerun_1worker", ExploreMode::Rerun, 1, smoke),
+        run_pass("fork_1worker", ExploreMode::ForkPoint, 1, smoke),
+        run_pass("fork_fleet", ExploreMode::ForkPoint, workers_from_env(), smoke),
     ];
 
     let baseline = pre_pr_baseline();

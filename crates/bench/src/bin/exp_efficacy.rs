@@ -15,7 +15,7 @@
 use raindrop::pipeline::{Pipeline, RopPass};
 use raindrop::RopConfig;
 use raindrop_attacks::concolic::{Goal, InputSpec};
-use raindrop_attacks::fleet::{AttackFleet, DseJob};
+use raindrop_attacks::fleet::{workers_from_env, DseJob};
 use raindrop_attacks::{chain_symbol, flip_exploration, gadget_guess, simplify};
 use raindrop_bench::*;
 use raindrop_obfvm::ImplicitAt;
@@ -127,7 +127,7 @@ fn main() {
             })
         })
         .collect();
-    for r in AttackFleet::from_env().run_dse(jobs) {
+    for r in raindrop_sched::scoped_map(workers_from_env(), jobs, |_, job| job.run()) {
         let out = r.outcome;
         let exhausted = out.exhausted.map_or_else(|| "-".to_string(), |e| format!("{e} exhausted"));
         // Why a defeated attack was defeated: which shadow-tracking hazard

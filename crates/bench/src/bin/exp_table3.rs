@@ -2,7 +2,8 @@
 //! total gadgets A, unique gadgets B, gadgets per point C) for each ROPk,
 //! plus the cross-layer compositions (`ROPk-over-1VM`, `1VM-over-ROPk`)
 //! the pipeline API makes expressible. The per-(benchmark, config) runs are
-//! independent, so they run sharded over the attack fleet's worker pool.
+//! independent, so they run sharded over a work-stealing batch sized like
+//! the DSE batches ([`workers_from_env`]).
 //!
 //! `--smoke` runs one benchmark under `ROP0.25` and the `ROP0.25-over-1VM`
 //! cross-layer row (the CI composition smoke); `--full` widens the ROPk
@@ -13,7 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use raindrop_attacks::fleet::AttackFleet;
+use raindrop_attacks::fleet::workers_from_env;
 use raindrop_bench::*;
 use raindrop_obfvm::ImplicitAt;
 use serde::Serialize;
@@ -54,33 +55,34 @@ fn main() {
         .iter()
         .flat_map(|w| configs.iter().map(move |c| (w.clone(), c.clone())))
         .collect();
-    let rows: Vec<Option<Row>> = AttackFleet::from_env().map(items, |_, (w, kind)| {
-        let run = match kind.pipeline(1).run_program(&w.program, &w.obfuscate) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("{} / {}: {e}", w.name, kind.label());
-                return None;
+    let rows: Vec<Option<Row>> =
+        raindrop_sched::scoped_map(workers_from_env(), items, |_, (w, kind)| {
+            let run = match kind.pipeline(1).run_program(&w.program, &w.obfuscate) {
+                Ok(run) => run,
+                Err(e) => {
+                    eprintln!("{} / {}: {e}", w.name, kind.label());
+                    return None;
+                }
+            };
+            for (func, reason) in &run.report.failures {
+                eprintln!("{} / {}: {func}: {reason}", w.name, kind.label());
             }
-        };
-        for (func, reason) in &run.report.failures {
-            eprintln!("{} / {}: {func}: {reason}", w.name, kind.label());
-        }
-        // Aggregate over the (single) ROP pass of the composition; native /
-        // pure-VM configurations would have none.
-        let rop = run.report.rop_passes();
-        let report = rop.first()?;
-        let n = report.program_points();
-        let stats = report.gadgets;
-        let c = if n > 0 { stats.total_used as f64 / n as f64 } else { 0.0 };
-        Some(Row {
-            benchmark: w.name.clone(),
-            config: kind.label(),
-            program_points: n,
-            total_gadgets: stats.total_used,
-            unique_gadgets: stats.unique_used,
-            gadgets_per_point: c,
-        })
-    });
+            // Aggregate over the (single) ROP pass of the composition; native /
+            // pure-VM configurations would have none.
+            let rop = run.report.rop_passes();
+            let report = rop.first()?;
+            let n = report.program_points();
+            let stats = report.gadgets;
+            let c = if n > 0 { stats.total_used as f64 / n as f64 } else { 0.0 };
+            Some(Row {
+                benchmark: w.name.clone(),
+                config: kind.label(),
+                program_points: n,
+                total_gadgets: stats.total_used,
+                unique_gadgets: stats.unique_used,
+                gadgets_per_point: c,
+            })
+        });
     let rows: Vec<Row> = rows.into_iter().flatten().collect();
     println!("{:<14} {:<22} {:>8} {:>8} {:>8} {:>8}", "BENCHMARK", "CONFIG", "N", "A", "B", "C");
     for r in &rows {

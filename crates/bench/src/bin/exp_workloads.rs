@@ -21,7 +21,7 @@
 use raindrop::{equivalent, TestCase};
 use raindrop_attacks::campaign::class_of_label;
 use raindrop_attacks::concolic::{Goal, InputSpec};
-use raindrop_attacks::fleet::{AttackFleet, DseJob};
+use raindrop_attacks::fleet::{workers_from_env, DseJob};
 use raindrop_bench::*;
 use raindrop_machine::Emulator;
 use raindrop_obfvm::ImplicitAt;
@@ -153,8 +153,8 @@ fn main() {
         rows.push((spec.clone(), program_rows));
     }
 
-    // One fleet over every class's jobs; results re-attached per program.
-    let results = AttackFleet::from_env().run_dse(jobs);
+    // One batch over every class's jobs; results re-attached per program.
+    let results = raindrop_sched::scoped_map(workers_from_env(), jobs, |_, job| job.run());
     for r in &results {
         let class = class_of_label(&r.label).expect("workload job labels carry a class");
         let mut parts = r.label.splitn(3, '/');

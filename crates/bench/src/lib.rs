@@ -31,11 +31,12 @@
 
 use raindrop::pipeline::{Pipeline, PipelineError, RopPass, VmPass};
 use raindrop_attacks::concolic::{DseBudget, Goal as AttackGoal, InputSpec};
-use raindrop_attacks::fleet::{AttackFleet, DseJob};
-use raindrop_machine::{Emulator, Image};
+use raindrop_attacks::fleet::{workers_from_env, DseJob};
+use raindrop_machine::{EmuError, Emulator, Image};
 use raindrop_obfvm::{ImplicitAt, VmConfig};
 use raindrop_synth::{RandomFun, Workload};
 use serde::Serialize;
+use std::fmt;
 use std::time::Duration;
 
 /// An obfuscation configuration of Table I, plus the cross-layer
@@ -173,13 +174,35 @@ pub fn prepare_randomfun(
     prepare_image(&rf.program, std::slice::from_ref(&rf.name), kind, seed)
 }
 
+/// Why [`workload_cycles`] produced no cycle count.
+#[derive(Debug)]
+pub enum CyclesError {
+    /// The configuration could not protect the workload.
+    Prepare(PipelineError),
+    /// The protected workload did not run to completion (for example, it
+    /// exhausted the instruction budget).
+    Run(EmuError),
+}
+
+impl fmt::Display for CyclesError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CyclesError::Prepare(e) => write!(f, "prepare: {e}"),
+            CyclesError::Run(e) => write!(f, "run: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CyclesError {}
+
 /// Runs a workload under a configuration and returns the emulated cycle
 /// count (the run-time proxy used for Fig. 5).
-pub fn workload_cycles(w: &Workload, kind: &ObfKind, seed: u64) -> Result<u64, PipelineError> {
-    let image = prepare_image(&w.program, &w.obfuscate, kind, seed)?;
+pub fn workload_cycles(w: &Workload, kind: &ObfKind, seed: u64) -> Result<u64, CyclesError> {
+    let image =
+        prepare_image(&w.program, &w.obfuscate, kind, seed).map_err(CyclesError::Prepare)?;
     let mut emu = Emulator::new(&image);
     emu.set_budget(20_000_000_000);
-    emu.call_named(&image, &w.entry, &w.args).expect("workload runs to completion");
+    emu.call_named(&image, &w.entry, &w.args).map_err(CyclesError::Run)?;
     Ok(emu.stats().cycles)
 }
 
@@ -396,8 +419,8 @@ pub struct Table2Row {
 
 /// Runs the Table II experiment over the given random functions and
 /// configurations. All attacks of all configurations are sharded over one
-/// [`AttackFleet`] (worker count from `RAINDROP_DSE_WORKERS` or the
-/// machine's parallelism); results are aggregated per configuration.
+/// [`raindrop_sched::scoped_map`] batch (worker count from
+/// [`workers_from_env`]); results are aggregated per configuration.
 pub fn run_table2(
     secret_funs: &[RandomFun],
     coverage_funs: &[RandomFun],
@@ -437,7 +460,7 @@ pub fn run_table2(
         }
     }
 
-    let results = AttackFleet::from_env().run_dse(jobs);
+    let results = raindrop_sched::scoped_map(workers_from_env(), jobs, |_, job| job.run());
 
     let mut rows: Vec<Table2Row> = configs
         .iter()

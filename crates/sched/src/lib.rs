@@ -1,31 +1,27 @@
 //! # raindrop-sched
 //!
-//! The reusable job scheduler underneath the attack fleet and the
-//! protection server: a work-stealing [`WorkQueue`], a persistent
-//! [`Scheduler`] with warm per-worker state ([`WorkerCtx`]), job
-//! priorities, cancellation and per-job timing/outcome stats, plus the
-//! borrowing batch helper [`scoped_map`].
-//!
-//! This crate generalizes the work-queue sharding that first appeared as
-//! `AttackFleet` in `raindrop-attacks`: the fleet is now a thin veneer over
-//! these primitives, and the protection server (`raindrop-server`) feeds
-//! its jobs through the same [`Scheduler`] type — DSE campaigns and
-//! protection pipelines share one scheduling core.
+//! The reusable job scheduler underneath DSE batches, attack campaigns and
+//! the protection server: a work-stealing [`WorkQueue`], a persistent
+//! [`Scheduler`] with warm per-worker state ([`WorkerCtx`]), cancellation
+//! and per-job timing/outcome stats, plus the borrowing batch helper
+//! [`scoped_map`].
 //!
 //! Two entry points cover the two job shapes in this workspace:
 //!
 //! * [`Scheduler`] — a persistent pool for long-running services: jobs are
-//!   `'static` closures over warm per-worker state, submitted with a
-//!   priority and awaited through [`JobHandle`]s.
+//!   `'static` closures over warm per-worker state, queued FIFO and awaited
+//!   through [`JobHandle`]s. The protection server (`raindrop-server`) and
+//!   the attack campaign driver (`raindrop-attacks`) both run on it.
 //! * [`scoped_map`] — a one-shot batch: borrows items and the job function
 //!   (no `'static` bound), pre-shards the batch across workers, and lets
-//!   work stealing rebalance stragglers.
+//!   work stealing rebalance slow items. Independent DSE attacks are
+//!   sharded with it.
 //!
 //! Determinism: the scheduler moves *when and where* a job runs, never what
 //! it computes. Jobs must be self-contained (seeds and inputs inside the
 //! job, per-worker contexts holding scratch only — see [`WorkerCtx`]), and
-//! then results are independent of the worker count; both the fleet's
-//! 1-vs-N test and the server's determinism test pin this.
+//! then results are independent of the worker count; the attacks' 1-vs-N
+//! tests and the server's determinism test pin this.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +31,8 @@ mod scheduler;
 
 pub use queue::WorkQueue;
 pub use scheduler::{
-    JobCtl, JobDone, JobHandle, JobOutcome, JobStats, Scheduler, SchedulerStats, WorkerCtx,
+    panic_message, JobCtl, JobDone, JobHandle, JobOutcome, JobStats, Scheduler, SchedulerStats,
+    WorkerCtx,
 };
 
 use std::sync::Mutex;
@@ -45,7 +42,7 @@ use std::sync::Mutex;
 ///
 /// The batch is pre-sharded round-robin across per-worker deques; a worker
 /// that finishes its shard steals from the back of the longest remaining
-/// one, so stragglers never idle the pool. Unlike [`Scheduler::submit`],
+/// one, so a slow item never idles the pool. Unlike [`Scheduler::submit`],
 /// items, results and `f` may borrow from the caller — the pool lives
 /// inside a [`std::thread::scope`].
 ///

@@ -2,11 +2,11 @@
 //! [`scoped_map`](crate::scoped_map).
 //!
 //! One [`WorkQueue`] serves a fixed set of workers. Jobs enter either
-//! through the *injector* — a priority heap shared by every worker — or
-//! through a worker's *local* deque ([`WorkQueue::push_local`], used to
-//! pre-shard a batch). A worker takes, in order: the front of its own local
-//! deque, the highest-priority injector job, then the *back* of the longest
-//! other local deque (a steal). Stealing is what keeps stragglers from
+//! through the *injector* — a FIFO shared by every worker — or through a
+//! worker's *local* deque ([`WorkQueue::push_local`], used to pre-shard a
+//! batch). A worker takes, in order: the front of its own local deque, the
+//! front of the injector, then the *back* of the longest other local deque
+//! (a steal). Stealing is what keeps stragglers from
 //! idling the rest of the pool: a worker stuck on one expensive job simply
 //! loses the rest of its shard to its peers.
 //!
@@ -14,51 +14,21 @@
 //! for the job granularities this workspace schedules (whole protection
 //! pipelines, whole DSE attacks) contention is immaterial.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// A prioritized injector entry. Ordered by descending priority, then FIFO
-/// (ascending submission sequence); the job payload never participates in
-/// the ordering.
-struct HeapEntry<J> {
-    prio: i32,
-    seq: u64,
-    job: J,
-}
-
-impl<J> PartialEq for HeapEntry<J> {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
-    }
-}
-impl<J> Eq for HeapEntry<J> {}
-impl<J> PartialOrd for HeapEntry<J> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<J> Ord for HeapEntry<J> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: higher priority wins, earlier sequence
-        // breaks ties (hence the reversed seq comparison).
-        self.prio.cmp(&other.prio).then(other.seq.cmp(&self.seq))
-    }
-}
-
 struct State<J> {
-    injector: BinaryHeap<HeapEntry<J>>,
+    injector: VecDeque<J>,
     locals: Vec<VecDeque<J>>,
     closed: bool,
-    seq: u64,
     stolen: u64,
 }
 
 /// A blocking multi-producer work-stealing queue for a fixed worker set.
 ///
-/// This is the sharding core generalized out of the original
-/// `AttackFleet`: the fleet's single shared `VecDeque` becomes the injector,
-/// and per-worker deques plus stealing are what let pre-sharded batches
-/// rebalance around stragglers.
+/// The injector serves [`Scheduler`](crate::Scheduler) submissions in
+/// arrival order; per-worker deques plus stealing are what let pre-sharded
+/// [`scoped_map`](crate::scoped_map) batches rebalance around slow items.
 pub struct WorkQueue<J> {
     state: Mutex<State<J>>,
     signal: Condvar,
@@ -70,10 +40,9 @@ impl<J> WorkQueue<J> {
         let workers = workers.max(1);
         WorkQueue {
             state: Mutex::new(State {
-                injector: BinaryHeap::new(),
+                injector: VecDeque::new(),
                 locals: (0..workers).map(|_| VecDeque::new()).collect(),
                 closed: false,
-                seq: 0,
                 stolen: 0,
             }),
             signal: Condvar::new(),
@@ -85,17 +54,14 @@ impl<J> WorkQueue<J> {
         self.state.lock().expect("queue lock").locals.len()
     }
 
-    /// Pushes a job onto the shared injector with the given priority
-    /// (higher runs first; equal priorities run FIFO). No-op after
+    /// Pushes a job onto the back of the shared injector. No-op after
     /// [`close`](WorkQueue::close).
-    pub fn push(&self, prio: i32, job: J) {
+    pub fn push(&self, job: J) {
         let mut st = self.state.lock().expect("queue lock");
         if st.closed {
             return;
         }
-        let seq = st.seq;
-        st.seq += 1;
-        st.injector.push(HeapEntry { prio, seq, job });
+        st.injector.push_back(job);
         drop(st);
         self.signal.notify_one();
     }
@@ -129,8 +95,8 @@ impl<J> WorkQueue<J> {
             if let Some(job) = st.locals[worker].pop_front() {
                 return Some(job);
             }
-            if let Some(entry) = st.injector.pop() {
-                return Some(entry.job);
+            if let Some(job) = st.injector.pop_front() {
+                return Some(job);
             }
             let victim = (0..st.locals.len())
                 .filter(|&v| v != worker)
@@ -159,15 +125,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn priorities_run_high_first_and_fifo_within() {
+    fn injector_runs_jobs_in_submission_order() {
         let q: WorkQueue<u32> = WorkQueue::new(1);
-        q.push(0, 1);
-        q.push(5, 2);
-        q.push(5, 3);
-        q.push(-1, 4);
+        for job in [3, 1, 4, 2] {
+            q.push(job);
+        }
         q.close();
         let order: Vec<u32> = std::iter::from_fn(|| q.pop(0)).collect();
-        assert_eq!(order, vec![2, 3, 1, 4]);
+        assert_eq!(order, vec![3, 1, 4, 2]);
     }
 
     #[test]
@@ -187,7 +152,7 @@ mod tests {
     fn own_local_beats_injector_beats_steal() {
         let q: WorkQueue<u32> = WorkQueue::new(2);
         q.push_local(0, 1);
-        q.push(100, 2);
+        q.push(2);
         q.push_local(1, 3);
         q.close();
         assert_eq!(q.pop(0), Some(1), "own local first");
@@ -199,7 +164,7 @@ mod tests {
     fn pushes_after_close_are_dropped() {
         let q: WorkQueue<u32> = WorkQueue::new(1);
         q.close();
-        q.push(0, 1);
+        q.push(1);
         q.push_local(0, 2);
         assert_eq!(q.pop(0), None);
     }

@@ -166,32 +166,6 @@ impl<R: Any + Send> JobHandle<R> {
         }
     }
 
-    /// Waits for the job for at most `timeout`. On timeout the handle comes
-    /// back in `Err` — nothing is lost, the caller can keep polling, cancel,
-    /// or [`Scheduler::requeue`] the job later.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<JobDone<R>, JobHandle<R>> {
-        let deadline = Instant::now() + timeout;
-        {
-            let mut slot = self.shared.slot.lock().expect("job slot");
-            loop {
-                match std::mem::replace(&mut *slot, Slot::Taken) {
-                    Slot::Done(result, stats, panic) => {
-                        return Ok(JobDone { outcome: decode_outcome(result, panic), stats });
-                    }
-                    pending => {
-                        *slot = pending;
-                        let Some(remaining) = deadline.checked_duration_since(Instant::now())
-                        else {
-                            break;
-                        };
-                        slot = self.shared.done.wait_timeout(slot, remaining).expect("job slot").0;
-                    }
-                }
-            }
-        }
-        Err(self)
-    }
-
     /// Requests cancellation. A job still queued is dropped unrun (its
     /// outcome becomes [`JobOutcome::Cancelled`]); a job already running
     /// only observes this through [`JobCtl::is_cancelled`].
@@ -209,8 +183,7 @@ struct QueuedJob<C> {
     #[allow(clippy::type_complexity)]
     fun: Box<dyn FnOnce(&mut C, &JobCtl) -> Box<dyn Any + Send> + Send>,
     shared: Arc<JobShared>,
-    /// When this attempt entered the queue (a requeued job restarts the
-    /// clock — queued time is a property of the attempt, not the handle).
+    /// When the job entered the queue.
     submitted: Instant,
 }
 
@@ -242,11 +215,11 @@ pub struct SchedulerStats {
 /// A persistent thread-pool scheduler with warm per-worker state.
 ///
 /// Workers are spawned at construction, each owning one
-/// [`WorkerCtx`]; jobs are closures over `(&mut C, &JobCtl)` submitted with
-/// a priority and waited on through their [`JobHandle`]. Result types may
-/// differ from job to job — the handle restores the concrete type — which
-/// is what lets one scheduler instance serve heterogeneous work (protection
-/// pipelines next to DSE campaigns).
+/// [`WorkerCtx`]; jobs are closures over `(&mut C, &JobCtl)`, run in
+/// submission order and waited on through their [`JobHandle`]. Result
+/// types may differ from job to job — the handle restores the concrete
+/// type — which is what lets one scheduler instance serve heterogeneous
+/// work (protection pipelines next to DSE campaigns).
 ///
 /// Dropping the scheduler (or calling [`shutdown`](Scheduler::shutdown))
 /// closes the queue, lets the workers drain every job already submitted,
@@ -308,18 +281,8 @@ impl<C: WorkerCtx> Scheduler<C> {
         self.workers
     }
 
-    /// Submits a job at the default priority (0).
+    /// Submits a job to the back of the queue and returns its handle.
     pub fn submit<R, F>(&self, f: F) -> JobHandle<R>
-    where
-        R: Any + Send,
-        F: FnOnce(&mut C, &JobCtl) -> R + Send + 'static,
-    {
-        self.submit_prio(0, f)
-    }
-
-    /// Submits a job with an explicit priority: higher-priority jobs are
-    /// dequeued first, FIFO within a priority level.
-    pub fn submit_prio<R, F>(&self, priority: i32, f: F) -> JobHandle<R>
     where
         R: Any + Send,
         F: FnOnce(&mut C, &JobCtl) -> R + Send + 'static,
@@ -330,57 +293,12 @@ impl<C: WorkerCtx> Scheduler<C> {
             done: Condvar::new(),
         });
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue.push(
-            priority,
-            QueuedJob {
-                fun: Box::new(move |ctx, ctl| Box::new(f(ctx, ctl)) as Box<dyn Any + Send>),
-                shared: Arc::clone(&shared),
-                submitted: Instant::now(),
-            },
-        );
+        self.queue.push(QueuedJob {
+            fun: Box::new(move |ctx, ctl| Box::new(f(ctx, ctl)) as Box<dyn Any + Send>),
+            shared: Arc::clone(&shared),
+            submitted: Instant::now(),
+        });
         JobHandle { shared, _result: PhantomData }
-    }
-
-    /// Resubmits work *under an existing handle* at a new priority: the
-    /// straggler-defense path. Blocks until the handle's current attempt
-    /// settles (typically instantly — the caller has just seen it time out
-    /// and cancelled it), returns that superseded outcome, clears the
-    /// cancellation flag and queues `f` as the handle's next attempt.
-    /// `handle.wait()` afterwards observes the new attempt, so callers
-    /// holding the handle never notice the job changed queues — "requeue at
-    /// a different priority without losing the handle".
-    pub fn requeue<R, F>(&self, handle: &JobHandle<R>, priority: i32, f: F) -> JobDone<R>
-    where
-        R: Any + Send,
-        F: FnOnce(&mut C, &JobCtl) -> R + Send + 'static,
-    {
-        let superseded = {
-            let mut slot = handle.shared.slot.lock().expect("job slot");
-            loop {
-                match std::mem::replace(&mut *slot, Slot::Pending) {
-                    Slot::Done(result, stats, panic) => {
-                        break JobDone { outcome: decode_outcome(result, panic), stats };
-                    }
-                    pending => {
-                        *slot = pending;
-                        slot = handle.shared.done.wait(slot).expect("job slot");
-                    }
-                }
-            }
-            // Guard dropped here with the slot reset to Pending: the handle
-            // is live again before the new attempt can possibly finish.
-        };
-        handle.shared.cancelled.store(false, Ordering::Relaxed);
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue.push(
-            priority,
-            QueuedJob {
-                fun: Box::new(move |ctx, ctl| Box::new(f(ctx, ctl)) as Box<dyn Any + Send>),
-                shared: Arc::clone(&handle.shared),
-                submitted: Instant::now(),
-            },
-        );
-        superseded
     }
 
     /// Aggregate statistics so far.
@@ -414,6 +332,16 @@ impl<C: WorkerCtx> Drop for Scheduler<C> {
     }
 }
 
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string), or a placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 fn worker_loop<C: WorkerCtx>(worker: usize, queue: &WorkQueue<QueuedJob<C>>, counters: &Counters) {
     let mut ctx = C::create(worker);
     while let Some(job) = queue.pop(worker) {
@@ -435,12 +363,7 @@ fn worker_loop<C: WorkerCtx>(worker: usize, queue: &WorkQueue<QueuedJob<C>>, cou
             }
             Err(payload) => {
                 counters.panicked.fetch_add(1, Ordering::Relaxed);
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                job.shared.finish(None, stats, Some(msg));
+                job.shared.finish(None, stats, Some(panic_message(payload.as_ref())));
                 // The panicking job may have left the warm context in an
                 // arbitrary state; rebuild it before the next job.
                 ctx = C::create(worker);
@@ -490,8 +413,8 @@ mod tests {
     #[test]
     fn cancellation_before_start_skips_the_job() {
         let sched: Scheduler<()> = Scheduler::new(1);
-        // Low-priority blocker keeps the single worker busy long enough for
-        // the cancel to land while the victim is still queued.
+        // A blocker keeps the single worker busy long enough for the cancel
+        // to land while the victim is still queued.
         let gate = Arc::new(AtomicBool::new(false));
         let blocker_gate = Arc::clone(&gate);
         let blocker = sched.submit(move |_, _| {
@@ -535,98 +458,11 @@ mod tests {
     }
 
     #[test]
-    fn priorities_order_queued_work() {
-        let sched: Scheduler<()> = Scheduler::new(1);
-        let gate = Arc::new(AtomicBool::new(false));
-        let blocker_gate = Arc::clone(&gate);
-        let blocker = sched.submit(move |_, _| {
-            while !blocker_gate.load(Ordering::Relaxed) {
-                std::thread::yield_now();
-            }
-        });
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<_> = [(0, "low"), (9, "high"), (0, "low2")]
-            .into_iter()
-            .map(|(prio, tag)| {
-                let order = Arc::clone(&order);
-                sched.submit_prio(prio, move |_, _| order.lock().unwrap().push(tag))
-            })
-            .collect();
-        gate.store(true, Ordering::Relaxed);
-        blocker.wait().expect_completed();
-        for h in handles {
-            h.wait().expect_completed();
-        }
-        assert_eq!(*order.lock().unwrap(), vec!["high", "low", "low2"]);
-    }
-
-    #[test]
     fn job_stats_record_queue_and_run_time() {
         let sched: Scheduler<()> = Scheduler::new(1);
         let done = sched.submit(|_, _| std::thread::sleep(Duration::from_millis(2))).wait();
         assert!(done.stats.run >= Duration::from_millis(2));
         assert_eq!(done.stats.worker, 0);
-    }
-
-    #[test]
-    fn wait_timeout_returns_the_handle_then_the_result() {
-        let sched: Scheduler<()> = Scheduler::new(1);
-        let gate = Arc::new(AtomicBool::new(false));
-        let job_gate = Arc::clone(&gate);
-        let handle = sched.submit(move |_, _| {
-            while !job_gate.load(Ordering::Relaxed) {
-                std::thread::yield_now();
-            }
-            7u32
-        });
-        // Gated job cannot finish: the timeout path must fire and hand the
-        // handle back intact.
-        let handle = match handle.wait_timeout(Duration::from_millis(5)) {
-            Ok(_) => panic!("job finished while gated"),
-            Err(h) => h,
-        };
-        gate.store(true, Ordering::Relaxed);
-        // Released: a generous timeout now observes completion.
-        let done = handle.wait_timeout(Duration::from_secs(60)).expect("job released");
-        assert!(matches!(done.outcome, JobOutcome::Completed(7)));
-    }
-
-    #[test]
-    fn requeue_reuses_the_handle_at_a_new_priority() {
-        let sched: Scheduler<()> = Scheduler::new(1);
-        let gate = Arc::new(AtomicBool::new(false));
-        let blocker_gate = Arc::clone(&gate);
-        let blocker = sched.submit(move |_, _| {
-            while !blocker_gate.load(Ordering::Relaxed) {
-                std::thread::yield_now();
-            }
-        });
-        // The straggler is cancelled while queued behind the blocker…
-        let straggler: JobHandle<u32> = sched.submit(|_, _| 1);
-        straggler.cancel();
-        let low: JobHandle<&str> = sched.submit_prio(0, |_, _| "low ran");
-        gate.store(true, Ordering::Relaxed);
-        blocker.wait().expect_completed();
-        // …requeue returns the superseded (cancelled) attempt and schedules
-        // the replacement above the other queued work.
-        let superseded = sched.requeue(&straggler, 9, |_, _| 2);
-        assert!(matches!(superseded.outcome, JobOutcome::Cancelled));
-        // The original handle observes the new attempt's result.
-        assert_eq!(straggler.wait().expect_completed(), 2);
-        assert_eq!(low.wait().expect_completed(), "low ran");
-        let stats = sched.stats();
-        assert_eq!((stats.submitted, stats.cancelled), (4, 1));
-    }
-
-    #[test]
-    fn requeue_after_completion_runs_a_fresh_attempt() {
-        let sched: Scheduler<()> = Scheduler::new(1);
-        let handle: JobHandle<u32> = sched.submit(|_, _| 10);
-        // First attempt settles on its own; requeue hands back its result
-        // and the handle then waits on the second attempt.
-        let first = sched.requeue(&handle, 0, |_, _| 20);
-        assert!(matches!(first.outcome, JobOutcome::Completed(10)));
-        assert_eq!(handle.wait().expect_completed(), 20);
     }
 
     #[test]

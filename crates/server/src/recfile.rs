@@ -1,13 +1,15 @@
-//! Shared versioned + crc64 record-file helpers.
+//! Shared versioned, checksum-sealed record-file helpers.
 //!
 //! Both durable formats in this workspace — the [`ArtifactStore`] index
 //! (`index.rds`/`blobs.rds`) and the attack-campaign checkpoint log — follow
 //! the same discipline: a 4-byte magic + `u32` version header, append-only
-//! records each sealed with a trailing crc64, and *tolerant replay* that
-//! stops at the first torn or damaged record instead of failing the whole
-//! file. This module is the single home of that format logic:
+//! records each sealed with a trailing 64-bit checksum, and *tolerant
+//! replay* that stops at the first torn or damaged record instead of
+//! failing the whole file. This module is the single home of that format
+//! logic:
 //!
-//! * [`crc64`], [`write_header`], [`read_header`] — the shared primitives;
+//! * [`stable_hash64`], [`write_header`], [`read_header`] — the shared
+//!   primitives;
 //! * [`seal_record`] / [`open_record`] — fixed-size records (the store's
 //!   index knows its record length out of band);
 //! * [`frame_record`] / [`FramedReader`] — length-prefixed variable-size
@@ -33,10 +35,10 @@ use std::io::Write;
 /// Byte length of the `magic + version` file header.
 pub const HEADER_LEN: usize = 8;
 
-/// The checksum sealing every record: the workspace stable hash narrowed to
-/// 64 bits. Not cryptographic — it guards against torn writes and bit rot,
-/// not adversaries.
-pub fn crc64(bytes: &[u8]) -> u64 {
+/// The checksum sealing every record: [`stable_hash_bytes`] (FNV-1a-128)
+/// narrowed to its low 64 bits. Not a CRC and not cryptographic — it guards
+/// against torn writes and bit rot, not adversaries.
+pub fn stable_hash64(bytes: &[u8]) -> u64 {
     stable_hash_bytes(bytes) as u64
 }
 
@@ -55,32 +57,32 @@ pub fn read_header(bytes: &[u8], magic: [u8; 4]) -> Option<u32> {
     Some(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
 }
 
-/// Seals a fixed-size record body with its trailing crc64. The caller owns
-/// the body layout; the on-disk record is `body ++ crc64(body)`.
+/// Seals a fixed-size record body with its trailing checksum. The caller
+/// owns the body layout; the on-disk record is `body ++ stable_hash64(body)`.
 pub fn seal_record(mut body: Vec<u8>) -> Vec<u8> {
-    let crc = crc64(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
+    let sum = stable_hash64(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
     body
 }
 
-/// Opens a fixed-size sealed record: verifies the trailing crc64 and
+/// Opens a fixed-size sealed record: verifies the trailing checksum and
 /// returns the body, or `None` for torn/damaged bytes.
 pub fn open_record(record: &[u8]) -> Option<&[u8]> {
     if record.len() < 8 {
         return None;
     }
-    let (body, crc_bytes) = record.split_at(record.len() - 8);
-    let stored = u64::from_le_bytes(crc_bytes.try_into().expect("8 bytes"));
-    (crc64(body) == stored).then_some(body)
+    let (body, sum_bytes) = record.split_at(record.len() - 8);
+    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
+    (stable_hash64(body) == stored).then_some(body)
 }
 
-/// Frames a variable-size record: `u32 len ++ body ++ crc64(len ++ body)`.
+/// Frames a variable-size record: `u32 len ++ body ++ stable_hash64(len ++ body)`.
 pub fn frame_record(body: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(4 + body.len() + 8);
     rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
     rec.extend_from_slice(body);
-    let crc = crc64(&rec);
-    rec.extend_from_slice(&crc.to_le_bytes());
+    let sum = stable_hash64(&rec);
+    rec.extend_from_slice(&sum.to_le_bytes());
     rec
 }
 
@@ -111,7 +113,7 @@ impl<'a> Iterator for FramedReader<'a> {
     fn next(&mut self) -> Option<&'a [u8]> {
         let rest = &self.bytes[self.pos..];
         if rest.len() < 12 {
-            return None; // not even len + crc: torn tail
+            return None; // not even len + checksum: torn tail
         }
         let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
         let total = 4usize.checked_add(len)?.checked_add(8)?;
@@ -119,9 +121,9 @@ impl<'a> Iterator for FramedReader<'a> {
             return None; // truncated record
         }
         let framed = &rest[..total];
-        let (sealed, crc_bytes) = framed.split_at(total - 8);
-        let stored = u64::from_le_bytes(crc_bytes.try_into().expect("8 bytes"));
-        if crc64(sealed) != stored {
+        let (sealed, sum_bytes) = framed.split_at(total - 8);
+        let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
+        if stable_hash64(sealed) != stored {
             return None; // damaged record: stop replay here
         }
         self.pos += total;
@@ -147,7 +149,7 @@ const MAX_DECODE_DEPTH: usize = 128;
 /// Appends the canonical binary encoding of `v` to `out`: a 1-byte tag,
 /// then little-endian scalars / `u32`-length-prefixed strings, sequences
 /// and maps. The encoding is deterministic — equal values encode to equal
-/// bytes — which is what lets record contents participate in crc64 checks
+/// bytes — which is what lets record contents participate in checksums
 /// and content hashes.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {

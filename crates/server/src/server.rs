@@ -184,24 +184,14 @@ impl Server {
         self.sched.workers()
     }
 
-    /// Submits a request at the default priority. The returned handle can
-    /// be waited on or cancelled; the job first probes the artifact store
-    /// and only runs the pipeline on a miss.
+    /// Submits a request; requests run in submission order. The returned
+    /// handle can be waited on or cancelled; the job first probes the
+    /// artifact store and only runs the pipeline on a miss.
     pub fn submit(&self, request: ProtectRequest) -> JobHandle<Result<Protected, ProtectError>> {
-        self.submit_prio(0, request)
-    }
-
-    /// [`submit`](Server::submit) with an explicit priority (higher runs
-    /// first).
-    pub fn submit_prio(
-        &self,
-        priority: i32,
-        request: ProtectRequest,
-    ) -> JobHandle<Result<Protected, ProtectError>> {
         let store = Arc::clone(&self.store);
         let counters = Arc::clone(&self.counters);
         counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.sched.submit_prio(priority, move |worker: &mut ProtectWorker, _ctl| {
+        self.sched.submit(move |worker: &mut ProtectWorker, _ctl| {
             let started = std::time::Instant::now();
             let key = request.key();
 

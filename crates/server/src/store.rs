@@ -6,14 +6,14 @@
 //!
 //! ```text
 //! <dir>/index.rds   "RDSI" + u32 version, then append-only records:
-//!                   [tag][key][blob_off][blob_len][blob_crc][rec_crc]
+//!                   [tag][key][blob_off][blob_len][blob_hash][rec_hash]
 //!                   tag 1 = put, tag 2 = evict (offsets zero)
 //! <dir>/blobs.rds   "RDSB" + u32 version, then raw image blobs
 //!                   (see `codec`), appended back to back
 //! ```
 //!
-//! Every index record carries its own checksum (`rec_crc`) and the checksum
-//! of the blob it points at (`blob_crc`). Corruption is therefore *local*:
+//! Every index record carries its own checksum (`rec_hash`) and the checksum
+//! of the blob it points at (`blob_hash`). Corruption is therefore *local*:
 //! a torn or damaged tail record stops replay at the last good record, a
 //! flipped blob byte fails its checksum on [`get`](ArtifactStore::get) —
 //! both surface as cache misses, never as wrong artifacts (pinned by the
@@ -31,7 +31,7 @@
 //! bytes, and runs automatically when dead bytes outgrow live bytes.
 
 use crate::codec::{decode_image, encode_image};
-use crate::recfile::{self, crc64};
+use crate::recfile::{self, stable_hash64};
 use raindrop_machine::Image;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -48,8 +48,8 @@ pub const STORE_VERSION: u32 = 1;
 
 const TAG_PUT: u8 = 1;
 const TAG_EVICT: u8 = 2;
-/// tag + source(16) + config(16) + seed(8) + off(8) + len(8) + blob_crc(8)
-/// + rec_crc(8).
+/// tag + source(16) + config(16) + seed(8) + off(8) + len(8) + blob_hash(8)
+/// + rec_hash(8).
 const RECORD_LEN: usize = 1 + 16 + 16 + 8 + 8 + 8 + 8 + 8;
 
 /// The cache key of one protection artifact.
@@ -147,7 +147,7 @@ impl From<std::io::Error> for StoreError {
 struct Entry {
     off: u64,
     len: u64,
-    blob_crc: u64,
+    blob_hash: u64,
     /// Monotonic insertion sequence — the FIFO eviction order.
     seq: u64,
 }
@@ -182,7 +182,7 @@ pub struct ArtifactStore {
     stats: StoreStats,
 }
 
-fn encode_record(tag: u8, key: &ArtifactKey, off: u64, len: u64, blob_crc: u64) -> Vec<u8> {
+fn encode_record(tag: u8, key: &ArtifactKey, off: u64, len: u64, blob_hash: u64) -> Vec<u8> {
     let mut rec = Vec::with_capacity(RECORD_LEN);
     rec.push(tag);
     rec.extend_from_slice(&key.source_hash.to_le_bytes());
@@ -190,7 +190,7 @@ fn encode_record(tag: u8, key: &ArtifactKey, off: u64, len: u64, blob_crc: u64) 
     rec.extend_from_slice(&key.seed.to_le_bytes());
     rec.extend_from_slice(&off.to_le_bytes());
     rec.extend_from_slice(&len.to_le_bytes());
-    rec.extend_from_slice(&blob_crc.to_le_bytes());
+    rec.extend_from_slice(&blob_hash.to_le_bytes());
     recfile::seal_record(rec)
 }
 
@@ -200,7 +200,7 @@ struct Record {
     key: ArtifactKey,
     off: u64,
     len: u64,
-    blob_crc: u64,
+    blob_hash: u64,
 }
 
 fn decode_record(bytes: &[u8]) -> Option<Record> {
@@ -219,7 +219,7 @@ fn decode_record(bytes: &[u8]) -> Option<Record> {
         key: ArtifactKey { source_hash: u128_at(1), config_hash: u128_at(17), seed: u64_at(33) },
         off: u64_at(41),
         len: u64_at(49),
-        blob_crc: u64_at(57),
+        blob_hash: u64_at(57),
     })
 }
 
@@ -262,7 +262,7 @@ impl ArtifactStore {
                 pos += RECORD_LEN;
                 match rec.tag {
                     TAG_PUT => {
-                        if live.insert(rec.key, (rec.off, rec.len, rec.blob_crc)).is_none() {
+                        if live.insert(rec.key, (rec.off, rec.len, rec.blob_hash)).is_none() {
                             order.push(rec.key);
                         }
                     }
@@ -272,13 +272,13 @@ impl ArtifactStore {
                 }
             }
             for key in order {
-                let Some((off, len, blob_crc)) = live.get(&key).copied() else { continue };
+                let Some((off, len, blob_hash)) = live.get(&key).copied() else { continue };
                 let (off, len) = (off as usize, len as usize);
                 let Some(end) = off.checked_add(len).filter(|e| *e <= blob_bytes.len()) else {
                     continue; // blob out of range: miss
                 };
                 let blob = &blob_bytes[off..end];
-                if crc64(blob) != blob_crc {
+                if stable_hash64(blob) != blob_hash {
                     continue; // damaged blob: miss
                 }
                 replayed.push((key, blob.to_vec()));
@@ -355,14 +355,14 @@ impl ArtifactStore {
     fn append_blob(&mut self, key: &ArtifactKey, blob: &[u8]) -> Result<(), StoreError> {
         let off = self.blobs.seek(SeekFrom::End(0))?;
         self.blobs.write_all(blob)?;
-        let blob_crc = crc64(blob);
-        let rec = encode_record(TAG_PUT, key, off, blob.len() as u64, blob_crc);
+        let blob_hash = stable_hash64(blob);
+        let rec = encode_record(TAG_PUT, key, off, blob.len() as u64, blob_hash);
         self.index.seek(SeekFrom::End(0))?;
         self.index.write_all(&rec)?;
         let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(old) =
-            self.entries.insert(*key, Entry { off, len: blob.len() as u64, blob_crc, seq })
+            self.entries.insert(*key, Entry { off, len: blob.len() as u64, blob_hash, seq })
         {
             self.stats.dead_bytes += old.len;
         }
@@ -424,8 +424,11 @@ impl ArtifactStore {
             .seek(SeekFrom::Start(entry.off))
             .and_then(|_| self.blobs.read_exact(&mut blob))
             .is_ok();
-        let image =
-            if ok && crc64(&blob) == entry.blob_crc { decode_image(&blob).ok() } else { None };
+        let image = if ok && stable_hash64(&blob) == entry.blob_hash {
+            decode_image(&blob).ok()
+        } else {
+            None
+        };
         match image {
             Some(image) => {
                 self.stats.hits += 1;
@@ -461,7 +464,7 @@ impl ArtifactStore {
                 .seek(SeekFrom::Start(entry.off))
                 .and_then(|_| self.blobs.read_exact(&mut blob))
                 .is_ok();
-            if ok && crc64(&blob) == entry.blob_crc {
+            if ok && stable_hash64(&blob) == entry.blob_hash {
                 kept.push((key, blob));
             }
         }

@@ -14,7 +14,7 @@
 //! * [`synth`] — mini-C workload synthesis and RM64 codegen;
 //! * [`obfvm`] — the baseline virtualization obfuscator;
 //! * [`attacks`] — the deobfuscation attack models: the fork-point DSE
-//!   engine, the attack fleet, taint slicing, and the ROP-aware tools;
+//!   engine, DSE jobs and campaigns, taint slicing, and the ROP-aware tools;
 //! * [`mod@bench`] — experiment drivers for the paper's figures and
 //!   tables.
 
