@@ -8,12 +8,12 @@
 //! [`workers_from_env`] threads — the same work-stealing primitives that
 //! drive the protection server. Each worker owns its emulators outright —
 //! the fork-point engine inside every [`DseAttack`] keeps one warm emulator
-//! per job and revives it between paths with [`Snapshot`] restores (and
-//! forks of it are cheap, see [`Emulator::fork`]), and each attack owns its
-//! hash-consed expression arena and solver outright (`ExprId`s never cross
-//! a job boundary; the solve cache's structural-hash keys are
-//! arena-independent but private to the attack), so no state is shared and
-//! no locking happens on the hot path; the queue is touched once per job.
+//! per job and revives it between paths with [`Snapshot`] restores, and
+//! each attack owns its hash-consed expression arena and solver outright
+//! (`ExprId`s never cross a job boundary; the solve cache's structural-hash
+//! keys are arena-independent but private to the attack), so no state is
+//! shared and no locking happens on the hot path; the queue is touched once
+//! per job.
 //!
 //! Jobs are deterministic and independent, so under *work-bounded*
 //! budgets (instructions, paths, solver calls) the result of a batch does
@@ -24,7 +24,6 @@
 //! workers past the machine's cores slows every attack down and can push
 //! a wall-bounded attack over its limit that a 1-worker run would finish.
 //!
-//! [`Emulator::fork`]: raindrop_machine::Emulator::fork
 //! [`Snapshot`]: raindrop_machine::Snapshot
 
 use crate::concolic::{DseAttack, DseBudget, DseOutcome, ExploreMode, Goal, InputSpec};

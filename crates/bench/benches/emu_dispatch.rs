@@ -1,51 +1,14 @@
-//! Criterion micro-benchmarks of the emulator dispatch loop: guest
-//! instruction throughput on straight-line, branchy and ROP-chain workloads,
-//! fast path (predecoded icache) vs the reference re-decode path, plus the
-//! batched differential verifier against its per-case equivalent.
+//! Criterion micro-benchmark of the batched differential verifier against
+//! its per-case equivalent.
 //!
-//! CI runs this as a smoke with `cargo bench --bench emu_dispatch -- --test`;
-//! `scripts/regen_bench_emu.sh` regenerates the committed `BENCH_emu.json`
-//! trajectory from the `exp_emu_dispatch` driver.
+//! CI runs this as a smoke with `cargo bench --bench emu_dispatch -- --test`.
+//! Emulator dispatch throughput itself is measured by the `exp_emu_dispatch`
+//! driver (`scripts/regen_bench_emu.sh` regenerates the committed
+//! `BENCH_emu.json` trajectory from it; `--smoke` is its CI path).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use raindrop::{verify_batch, Rewriter, RopConfig, TestCase};
-use raindrop_bench::{prepare_image, straight_line_image, ObfKind};
-use raindrop_machine::{AluOp, Assembler, Cond, Emulator, Image, ImageBuilder, Inst, Reg};
-use raindrop_synth::workloads;
-
-fn bench_dispatch_modes(c: &mut Criterion) {
-    // Same construction as exp_emu_dispatch, so the CI-smoked numbers and
-    // the BENCH_emu.json trajectory measure the same images per label.
-    let straight = straight_line_image();
-    let fann = workloads::fannkuch();
-    let branchy = prepare_image(&fann.program, &[], &ObfKind::Native, 1).expect("compiles");
-    let pi = workloads::pidigits();
-    let rop = prepare_image(&pi.program, &pi.obfuscate, &ObfKind::Rop { k: 0.0 }, 1)
-        .expect("rop-rewrites");
-
-    let cases: [(&str, &Image, &str, &[u64]); 3] = [
-        ("straight_line", &straight, "spin", &[4_000]),
-        ("branchy", &branchy, &fann.entry, &fann.args),
-        ("rop_chain", &rop, &pi.entry, &[40]),
-    ];
-
-    let mut group = c.benchmark_group("emu_dispatch");
-    group.sample_size(10);
-    for (name, image, entry, args) in cases {
-        for icache in [true, false] {
-            let id = BenchmarkId::new(name, if icache { "icache" } else { "refdec" });
-            group.bench_with_input(id, &icache, |b, &icache| {
-                b.iter(|| {
-                    let mut emu = Emulator::new(image);
-                    emu.set_icache_enabled(icache);
-                    emu.set_budget(10_000_000_000);
-                    emu.call_named(image, entry, args).expect("runs")
-                });
-            });
-        }
-    }
-    group.finish();
-}
+use raindrop_machine::{AluOp, Assembler, Cond, ImageBuilder, Inst, Reg};
 
 fn bench_verify_batching(c: &mut Criterion) {
     // The rewriter_matrix-style setup: one function, many register cases.
@@ -94,5 +57,5 @@ fn bench_verify_batching(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dispatch_modes, bench_verify_batching);
+criterion_group!(benches, bench_verify_batching);
 criterion_main!(benches);

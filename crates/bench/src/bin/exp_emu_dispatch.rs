@@ -9,19 +9,22 @@
 //!   program point dispatches through `pop`/`ret` gadget sequences.
 //!
 //! Each shape is measured twice: with the predecoded instruction cache (the
-//! production fast path) and with it disabled (the reference interpreter that
-//! re-decodes every fetch — the differential baseline the stepper test
-//! compares against). The JSON also embeds the pre-PR numbers measured at
+//! production fast path, where `Emulator::run` retires a whole cached
+//! straight-line run per lookup) and with it disabled (the reference
+//! interpreter that steps and re-decodes every fetch — the differential
+//! baseline the stepper test compares against). The JSON also embeds the pre-PR numbers measured at
 //! the seed interpreter so the trajectory keeps its origin.
 //!
 //! Usage: `cargo run --release -p raindrop-bench --bin exp_emu_dispatch`
-//! (`scripts/regen_bench_emu.sh` wraps this).
+//! (`scripts/regen_bench_emu.sh` wraps this). `--smoke` runs each shape
+//! once per mode, asserts both modes retire identical [`ExecStats`] and
+//! return the same value, and leaves `BENCH_emu.json` untouched.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use raindrop_bench::{prepare_image, straight_line_image, write_json, ObfKind};
-use raindrop_machine::{Emulator, Image};
+use raindrop_machine::{Emulator, ExecStats, Image};
 use raindrop_synth::workloads;
 use serde::Serialize;
 use std::time::Instant;
@@ -39,6 +42,16 @@ struct WorkloadResult {
     instr_per_sec: f64,
 }
 
+/// Runs `entry(args)` once on a fresh emulator; returns its value and
+/// statistics.
+fn run_once(image: &Image, entry: &str, args: &[u64], icache: bool) -> (u64, ExecStats) {
+    let mut emu = Emulator::new(image);
+    emu.set_icache_enabled(icache);
+    emu.set_budget(10_000_000_000);
+    let value = emu.call_named(image, entry, args).expect("workload runs");
+    (value, emu.stats())
+}
+
 /// Runs `entry(args)` on fresh emulators until at least `min_instructions`
 /// guest instructions have been retired, and reports the aggregate rate.
 /// Emulator construction (image load) is inside the timed region on purpose:
@@ -53,20 +66,12 @@ fn measure(
     icache: bool,
 ) -> WorkloadResult {
     // Warm-up run (also validates the workload).
-    let mut warm = Emulator::new(image);
-    warm.set_icache_enabled(icache);
-    warm.set_budget(10_000_000_000);
-    warm.call_named(image, entry, args).expect("workload runs");
-    let per_run = warm.stats().instructions;
+    let per_run = run_once(image, entry, args, icache).1.instructions;
 
     let mut total = 0u64;
     let start = Instant::now();
     while total < min_instructions {
-        let mut emu = Emulator::new(image);
-        emu.set_icache_enabled(icache);
-        emu.set_budget(10_000_000_000);
-        emu.call_named(image, entry, args).expect("workload runs");
-        total += emu.stats().instructions;
+        total += run_once(image, entry, args, icache).1.instructions;
     }
     let wall = start.elapsed().as_secs_f64();
     let ips = total as f64 / wall;
@@ -141,6 +146,7 @@ fn pre_pr_baseline() -> FrozenEntry {
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
     println!("[exp_emu_dispatch] building workloads");
     let straight = straight_line_image();
     let fann = workloads::fannkuch();
@@ -149,6 +155,23 @@ fn main() {
     let rop = prepare_image(&pi.program, &pi.obfuscate, &ObfKind::Rop { k: 0.0 }, 1)
         .expect("rop-rewrites");
 
+    let shapes: [(&str, &Image, &str, &[u64]); 3] = [
+        ("straight_line", &straight, "spin", &[60_000]),
+        ("branchy", &branchy, &fann.entry, &fann.args),
+        ("rop_chain", &rop, &pi.entry, &[120]),
+    ];
+
+    if smoke {
+        for (name, image, entry, args) in shapes {
+            let fast = run_once(image, entry, args, true);
+            let reference = run_once(image, entry, args, false);
+            assert_eq!(fast, reference, "{name}: fast_icache and reference_decode diverged");
+            println!("  {name:<14} {:>12} instr, identical in both modes", fast.1.instructions);
+        }
+        println!("[exp_emu_dispatch] smoke run: BENCH_emu.json left untouched");
+        return;
+    }
+
     const MIN_INSTR: u64 = 40_000_000;
     let mut measured = Vec::new();
     for icache in [true, false] {
@@ -156,11 +179,10 @@ fn main() {
             "[exp_emu_dispatch] mode: {}",
             if icache { "fast_icache" } else { "reference_decode" }
         );
-        let workloads = vec![
-            measure("straight_line", &straight, "spin", &[60_000], MIN_INSTR, icache),
-            measure("branchy", &branchy, &fann.entry, &fann.args, MIN_INSTR, icache),
-            measure("rop_chain", &rop, &pi.entry, &[120], MIN_INSTR, icache),
-        ];
+        let workloads = shapes
+            .iter()
+            .map(|&(name, image, entry, args)| measure(name, image, entry, args, MIN_INSTR, icache))
+            .collect();
         measured.push(ModeResult {
             mode: if icache { "fast_icache".into() } else { "reference_decode".into() },
             workloads,

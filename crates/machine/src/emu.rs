@@ -6,9 +6,28 @@
 //! concrete side of the concolic attacker. It counts instructions and an
 //! abstract cycle cost, optionally records a full [`Trace`], and can snapshot
 //! and restore its state (used by the multi-path attack tools).
+//!
+//! Two loops share one body of instruction semantics (`exec`):
+//!
+//! * [`Emulator::step`] is the reference path: it checks the return
+//!   sentinel and the budget, fetches one instruction (through the
+//!   predecoded cache, or re-decoding it when the cache is disabled) and
+//!   retires it. Tracing, the attackers' explorer and the differential
+//!   tests drive it one instruction at a time.
+//! * [`Emulator::run`], untraced with the cache enabled, looks up a whole
+//!   straight-line **run** of cached entries (see the `icache` module) and
+//!   retires it with one sentinel check, one budget check and one lookup.
+//!   A run ends at a control transfer, so `rip` only falls through inside
+//!   it; a store that bumps the executing page's write generation ends it
+//!   early, so the next instruction is re-fetched from the new bytes. A run
+//!   that would overshoot the budget is stepped instead, so budget exits
+//!   stop on the same instruction either way.
+//!
+//! Both loops retire the same instructions with the same [`ExecStats`],
+//! registers, memory and exits.
 
 use crate::flags::Flags;
-use crate::icache::ICache;
+use crate::icache::{Decoded, ICache};
 use crate::image::{Image, HEAP_BASE, HEAP_SIZE, RETURN_SENTINEL, STACK_TOP};
 use crate::inst::{AluOp, Inst, Mem};
 use crate::mem::{page_key, page_offset, Memory, PAGE_SIZE};
@@ -23,6 +42,25 @@ const FETCH_WINDOW: usize = 20;
 
 /// Default instruction budget for a single run.
 pub const DEFAULT_BUDGET: u64 = 200_000_000;
+
+/// What instruction fetch reads from a page never touched: zeros.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+/// The abstract cycle cost of retiring `inst`: 1, plus 2 when it touches
+/// memory, 2 for a multiply, 20 for a divide and 1 for a call or return.
+pub(crate) fn cycle_cost(inst: &Inst) -> u8 {
+    let mut c = 1;
+    if inst.touches_memory() {
+        c += 2;
+    }
+    match inst {
+        Inst::Mul(..) | Inst::MulI(..) => c += 2,
+        Inst::Div(..) | Inst::Rem(..) => c += 20,
+        Inst::Call(_) | Inst::CallReg(_) | Inst::Ret => c += 1,
+        _ => {}
+    }
+    c
+}
 
 /// Execution statistics kept by the emulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -265,18 +303,6 @@ impl Emulator {
         self.heap_break = snap.heap_break;
     }
 
-    /// Forks a warm copy of this emulator, sharing nothing.
-    ///
-    /// Cloning is cheap relative to `Emulator::new` + first-touch execution:
-    /// the resident pages are copied as flat slices and the predecoded
-    /// instruction cache comes along warm (per-page write generations
-    /// match), so a forked emulator starts at full dispatch speed. Attack
-    /// fleets use this to stamp out per-worker emulators from one warmed-up
-    /// instance.
-    pub fn fork(&self) -> Emulator {
-        self.clone()
-    }
-
     /// A simple `sbrk`-style guest heap allocator used by runtime helpers.
     ///
     /// # Errors
@@ -309,14 +335,14 @@ impl Emulator {
     /// Fetches and decodes the instruction at `rip`, through the predecoded
     /// cache when enabled.
     #[inline]
-    fn fetch(&mut self) -> Result<(Inst, usize), EmuError> {
+    fn fetch(&mut self) -> Result<Decoded, EmuError> {
         let rip = self.cpu.rip;
-        let key = page_key(rip);
         let off = page_offset(rip);
         let (gen, page) = self.mem.fetch_page(rip);
         if self.icache_enabled {
-            if let Some((inst, len)) = self.icache.lookup(key, off, gen) {
-                return Ok((inst, len as usize));
+            let bytes = page.unwrap_or(&ZERO_PAGE);
+            if let Some((slot, idx)) = self.icache.run_at(page_key(rip), off, gen, bytes) {
+                return Ok(self.icache.entry(slot, idx));
             }
         }
         let decoded = match page {
@@ -331,10 +357,7 @@ impl Emulator {
             }
         };
         let (inst, len) = decoded.map_err(|source| EmuError::Decode { addr: rip, source })?;
-        if self.icache_enabled && off + len <= PAGE_SIZE {
-            self.icache.insert(key, off, gen, inst, len as u8);
-        }
-        Ok((inst, len))
+        Ok(Decoded::single(inst, len))
     }
 
     /// Decodes (without executing) the instruction at the current `rip`,
@@ -347,24 +370,12 @@ impl Emulator {
     /// Returns [`EmuError::Decode`] when the bytes at `rip` are not an
     /// instruction.
     pub fn peek_inst(&mut self) -> Result<(Inst, usize), EmuError> {
-        self.fetch()
+        let d = self.fetch()?;
+        Ok((d.inst, d.len as usize))
     }
 
-    fn cost(inst: &Inst) -> u64 {
-        let mut c = 1;
-        if inst.touches_memory() {
-            c += 2;
-        }
-        match inst {
-            Inst::Mul(..) | Inst::MulI(..) => c += 2,
-            Inst::Div(..) | Inst::Rem(..) => c += 20,
-            Inst::Call(_) | Inst::CallReg(_) | Inst::Ret => c += 1,
-            _ => {}
-        }
-        c
-    }
-
-    /// Executes a single instruction.
+    /// Executes a single instruction. This is the reference path that
+    /// [`Emulator::run`]'s run-at-a-time loop must agree with.
     ///
     /// Returns `Some(exit)` when the machine reached the return sentinel or a
     /// `hlt`.
@@ -373,8 +384,6 @@ impl Emulator {
     ///
     /// Propagates decode faults, division by zero and budget exhaustion.
     pub fn step(&mut self) -> Result<Option<RunExit>, EmuError> {
-        // Monomorphize the hot loop twice so the non-tracing fast path
-        // carries no per-step bookkeeping for the trace structures at all.
         if self.trace.is_some() {
             self.step_inner::<true>()
         } else {
@@ -390,16 +399,31 @@ impl Emulator {
             return Err(EmuError::BudgetExceeded { executed: self.stats.instructions });
         }
         let addr = self.cpu.rip;
-        let (inst, len) = self.fetch()?;
+        let d = self.fetch()?;
+        if self.exec::<TRACING>(addr, d)? {
+            return Ok(Some(RunExit::Halted));
+        }
+        if self.cpu.rip == RETURN_SENTINEL {
+            return Ok(Some(RunExit::Returned(self.cpu.reg(Reg::Rax))));
+        }
+        Ok(None)
+    }
+
+    /// Retires the decoded instruction `d` fetched from `addr`: counts it,
+    /// moves `rip` past it, applies its semantics and, with `TRACING`,
+    /// records its trace entry. Returns whether it was a `hlt`.
+    #[inline(always)]
+    fn exec<const TRACING: bool>(&mut self, addr: u64, d: Decoded) -> Result<bool, EmuError> {
+        let inst = d.inst;
         let rsp_before = self.cpu.reg(Reg::Rsp);
         let mut mem_log: Vec<MemAccess> = Vec::new();
         let mut reg_log: Vec<(Reg, u64)> = Vec::new();
         let mut branch_taken = None;
 
         self.stats.instructions += 1;
-        self.stats.cycles += Self::cost(&inst);
+        self.stats.cycles += d.cost as u64;
 
-        let next = addr.wrapping_add(len as u64);
+        let next = addr.wrapping_add(d.len as u64);
         self.cpu.rip = next;
 
         macro_rules! read64 {
@@ -685,13 +709,7 @@ impl Emulator {
             }
         }
 
-        if halted {
-            return Ok(Some(RunExit::Halted));
-        }
-        if self.cpu.rip == RETURN_SENTINEL {
-            return Ok(Some(RunExit::Returned(self.cpu.reg(Reg::Rax))));
-        }
-        Ok(None)
+        Ok(halted)
     }
 
     fn alu(&mut self, op: AluOp, a: u64, b: u64) -> u64 {
@@ -744,13 +762,59 @@ impl Emulator {
 
     /// Runs until the sentinel return, a halt, an error or budget exhaustion.
     ///
+    /// Untraced with the predecoded cache enabled, this retires a whole
+    /// cached straight-line run per lookup; otherwise it loops over
+    /// [`Emulator::step`]. Both give the same exit, statistics and state.
+    ///
     /// # Errors
     ///
     /// Propagates any error from [`Emulator::step`].
     pub fn run(&mut self) -> Result<RunExit, EmuError> {
+        if self.trace.is_some() || !self.icache_enabled {
+            loop {
+                if let Some(exit) = self.step()? {
+                    return Ok(exit);
+                }
+            }
+        }
+        // Monomorphize the hot loop on `exec::<false>` so the untraced fast
+        // path carries no per-instruction bookkeeping for the trace
+        // structures at all.
         loop {
-            if let Some(exit) = self.step()? {
-                return Ok(exit);
+            let rip = self.cpu.rip;
+            if rip == RETURN_SENTINEL {
+                return Ok(RunExit::Returned(self.cpu.reg(Reg::Rax)));
+            }
+            let (gen, page) = self.mem.fetch_page(rip);
+            let bytes = page.unwrap_or(&ZERO_PAGE);
+            let run = self
+                .icache
+                .run_at(page_key(rip), page_offset(rip), gen, bytes)
+                .map(|(slot, first)| (slot, first, self.icache.entry(slot, first).run as usize))
+                .filter(|&(.., n)| self.stats.instructions.saturating_add(n as u64) <= self.budget);
+            let Some((slot, first, n)) = run else {
+                // Not cacheable (a decode fault, or an instruction straddling
+                // the page end), or the budget runs out inside the run: the
+                // reference path handles it exactly, one instruction at a
+                // time.
+                if let Some(exit) = self.step()? {
+                    return Ok(exit);
+                }
+                continue;
+            };
+            let mut addr = rip;
+            for idx in first..first + n {
+                let d = self.icache.entry(slot, idx);
+                let writes = self.stats.mem_writes;
+                if self.exec::<false>(addr, d)? {
+                    return Ok(RunExit::Halted);
+                }
+                if self.stats.mem_writes != writes && self.mem.fetch_page(rip).0 != gen {
+                    // The store rewrote this page: the rest of the run may
+                    // be stale, so fetch it again.
+                    break;
+                }
+                addr = self.cpu.rip;
             }
         }
     }
@@ -788,7 +852,11 @@ impl Emulator {
     ///
     /// # Errors
     ///
-    /// Returns an error if the function is unknown or execution fails.
+    /// Propagates any error from [`Emulator::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` has no function called `name`.
     pub fn call_named(&mut self, image: &Image, name: &str, args: &[u64]) -> Result<u64, EmuError> {
         let f =
             image.function(name).unwrap_or_else(|_| panic!("function `{name}` not found in image"));

@@ -182,6 +182,7 @@ fn guest_store_into_own_text_takes_effect_on_the_very_next_fetch() {
     let ph_off = bytes.windows(8).position(|w| w == placeholder).unwrap();
     img.patch_text(g.addr + ph_off as u64, &(target as i64).to_le_bytes()).unwrap();
 
+    let mut stats = Vec::new();
     for icache in [true, false] {
         let mut emu = Emulator::new(&img);
         emu.set_icache_enabled(icache);
@@ -192,5 +193,9 @@ fn guest_store_into_own_text_takes_effect_on_the_very_next_fetch() {
         assert_eq!(v1, 0x1111_2222_3333_4444, "icache={icache}: first run sees its own store");
         let v2 = emu.call_named(&img, "g", &[0x5555_6666_7777_8888]).unwrap();
         assert_eq!(v2, 0x5555_6666_7777_8888, "icache={icache}: warm rerun sees the new store");
+        stats.push(emu.stats());
     }
+    // The store lands inside a cached run; leaving the run there must not
+    // change what is counted.
+    assert_eq!(stats[0], stats[1], "ExecStats differ with the icache on and off");
 }
