@@ -1,17 +1,17 @@
 //! §VII-C1: rewriting coverage over the coreutils-like corpus, with the
 //! failure-class breakdown the paper reports, followed by the paper's
 //! "run the test suite over the obfuscated binaries" check. The whole
-//! experiment is one [`raindrop::Pipeline`] run: a full-strength
-//! [`RopPass`] plus a [`VerifyPolicy`] that differentially verifies every
-//! successfully rewritten function against the original image over the
-//! zero/small/full-width register corners (one warm emulator pair per
-//! function via `verify_batch`).
+//! experiment is one [`raindrop::Pipeline`] run: a full-strength ROP pass
+//! ([`RopConfig::full`]) plus a [`VerifyPolicy`] that differentially
+//! verifies every successfully rewritten function against the original
+//! image over the zero/small/full-width register corners (one warm
+//! emulator pair per function via `verify_batch`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use raindrop::pipeline::{Pipeline, RopPass, VerifyPolicy};
-use raindrop::FailureClass;
+use raindrop::pipeline::{ObfConfig, VerifyPolicy};
+use raindrop::{FailureClass, RopConfig};
 use raindrop_bench::*;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -35,8 +35,10 @@ fn main() {
     let names: Vec<&str> = corpus.entries.iter().map(|e| e.name.as_str()).collect();
     // VerifyPolicy::Batch runs the default register-argument corner cases
     // (zero, small values, a byte pattern, full 64-bit width).
-    let run = Pipeline::new()
-        .pass(RopPass::full())
+    let config = RopConfig::full();
+    let run = ObfConfig::new()
+        .rop(config.clone())
+        .pipeline(config.seed)
         .verify(VerifyPolicy::Batch)
         .run_image(&corpus.image, &names)
         .expect("pipeline runs");

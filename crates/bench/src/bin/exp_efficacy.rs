@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use raindrop::pipeline::{Pipeline, RopPass};
+use raindrop::pipeline::ObfConfig;
 use raindrop::RopConfig;
 use raindrop_attacks::concolic::{Goal, InputSpec};
 use raindrop_attacks::fleet::{workers_from_env, DseJob};
@@ -158,8 +158,10 @@ fn main() {
         for (label, p2) in [("ROP without P2", false), ("ROP with P2", true)] {
             let mut cfg = RopConfig::plain();
             cfg.p2 = p2;
-            let (image, _) = Pipeline::new()
-                .pass(RopPass::new(cfg))
+            let seed = cfg.seed;
+            let (image, _) = ObfConfig::new()
+                .rop(cfg)
+                .pipeline(seed)
                 .run_program(&t.program, &[&t.func])
                 .expect("pipeline runs")
                 .into_strict()
@@ -179,8 +181,10 @@ fn main() {
         for (label, confusion) in [("no confusion", false), ("confusion", true)] {
             let mut cfg = RopConfig::plain();
             cfg.gadget_confusion = confusion;
-            let (image, _) = Pipeline::new()
-                .pass(RopPass::new(cfg))
+            let seed = cfg.seed;
+            let (image, _) = ObfConfig::new()
+                .rop(cfg)
+                .pipeline(seed)
                 .run_program(&t.program, &[&t.func])
                 .expect("pipeline runs")
                 .into_strict()

@@ -20,15 +20,21 @@
 //! measured at the commit before `MaterializeCtx` existed, same workloads,
 //! same machine class), mirroring `BENCH_emu.json` / `BENCH_dse.json`.
 //!
+//! Before timing anything, every run asserts that the two modes agree byte
+//! for byte: `resolve_into` through a reused scratch yields the same
+//! resolved chain as `resolve`, and a warm context yields the same image as
+//! fresh contexts.
+//!
 //! Usage: `cargo run --release -p raindrop-bench --bin exp_materialize`
 //! (`scripts/regen_bench_materialize.sh` wraps this). `--smoke` runs a
-//! CI-sized subset and skips the JSON rewrite.
+//! CI-sized subset and skips the JSON rewrite; CI runs it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use raindrop::{MaterializeCtx, ResolvedChain, RopConfig, RopRuntime};
+use raindrop::{Chain, ChainScratch, MaterializeCtx, ResolvedChain, RopConfig, RopRuntime};
 use raindrop_bench::{many_function_image, synthetic_chain, write_json};
+use raindrop_machine::Image;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -97,6 +103,37 @@ fn measure(name: &str, mode: &str, ops: u64, wall: f64) -> Measurement {
     m
 }
 
+/// Materializes `chain` into every function of a clone of `base`, through
+/// one reused context (`warm`) or a fresh context per function.
+fn sweep(base: &Image, cfg: &RopConfig, names: &[String], chain: &Chain, warm: bool) -> Image {
+    let mut img = base.clone();
+    let rt = RopRuntime::install(&mut img, cfg);
+    let mut ctx = MaterializeCtx::new();
+    for name in names {
+        if !warm {
+            ctx = MaterializeCtx::new();
+        }
+        ctx.materialize(&mut img, &rt, name, chain).expect("materializes");
+    }
+    img
+}
+
+/// Asserts that fresh and warm buffers produce byte-identical output, for
+/// a second resolve through already-used scratch too.
+fn assert_modes_agree(chain: &Chain, base: &Image, cfg: &RopConfig, names: &[String]) {
+    let fresh = chain.resolve().expect("resolves");
+    let mut scratch = ChainScratch::default();
+    let mut out = ResolvedChain::default();
+    for _ in 0..2 {
+        chain.resolve_into(&mut scratch, &mut out).expect("resolves");
+        assert_eq!(out, fresh, "warm resolve_into differs from a fresh resolve");
+    }
+    assert!(
+        sweep(base, cfg, names, chain, false) == sweep(base, cfg, names, chain, true),
+        "a warm MaterializeCtx produced a different image than fresh contexts"
+    );
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (rounds, funcs, items) = if smoke { (2usize, 20usize, 256usize) } else { (50, 200, 1024) };
@@ -104,6 +141,13 @@ fn main() {
     let chain = synthetic_chain(items, 0x40_0000);
     let resolve_label = format!("resolve_{items}item");
     let materialize_label = format!("materialize_{items}item");
+    let base = many_function_image(funcs);
+    let cfg = RopConfig::full();
+    // Function names are precomputed so the timed region measures only the
+    // materialization path, not name formatting.
+    let names: Vec<String> = (0..funcs).map(|i| format!("f{i}")).collect();
+    assert_modes_agree(&chain, &base, &cfg, &names);
+    println!("fresh and warm modes agree byte for byte");
 
     // Pure resolve: layout + byte emission, no image mutation.
     let reps = (rounds * funcs) as u64;
@@ -116,7 +160,7 @@ fn main() {
         assert!(sink > 0);
         measured.push(measure(&resolve_label, "fresh", reps, start.elapsed().as_secs_f64()));
 
-        let mut scratch = raindrop::ChainScratch::default();
+        let mut scratch = ChainScratch::default();
         let mut out = ResolvedChain::default();
         let start = Instant::now();
         let mut sink = 0usize;
@@ -131,11 +175,6 @@ fn main() {
     // Full materialization over a many-function image, fresh image per
     // round (the clone is outside the timed region).
     {
-        let base = many_function_image(funcs);
-        let cfg = RopConfig::full();
-        // Function names are precomputed so the timed region measures only
-        // the materialization path, not name formatting.
-        let names: Vec<String> = (0..funcs).map(|i| format!("f{i}")).collect();
         for mode in ["fresh", "warm"] {
             let mut wall = 0.0f64;
             for _ in 0..rounds {

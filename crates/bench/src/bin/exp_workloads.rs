@@ -36,7 +36,8 @@ const SEED: u64 = 1;
 #[derive(Serialize)]
 struct DseRow {
     config: String,
-    defeated: bool,
+    /// The DSE attack found the secret (the protection was defeated).
+    attack_succeeded: bool,
     paths: usize,
     instructions: u64,
     hazards: u64,
@@ -56,8 +57,8 @@ struct ClassRow {
     class: String,
     description: String,
     programs: Vec<ProgramRow>,
-    /// DSE jobs defeated / finished across the class.
-    defeated: usize,
+    /// DSE attacks that succeeded / finished across the class.
+    attacks_succeeded: usize,
     attempted: usize,
 }
 
@@ -166,7 +167,7 @@ fn main() {
             .expect("job label maps back to a program row");
         row.dse.push(DseRow {
             config: config.to_string(),
-            defeated: r.outcome.success,
+            attack_succeeded: r.outcome.success,
             paths: r.outcome.paths,
             instructions: r.outcome.instructions,
             hazards: r.outcome.hazard_causes.iter().map(|(_, n)| n).sum(),
@@ -175,12 +176,13 @@ fn main() {
 
     let to_class_row = |(spec, programs): (ClassSpec, Vec<ProgramRow>)| {
         let attempted = programs.iter().map(|p| p.dse.len()).sum();
-        let defeated = programs.iter().flat_map(|p| &p.dse).filter(|d| d.defeated).count();
+        let attacks_succeeded =
+            programs.iter().flat_map(|p| &p.dse).filter(|d| d.attack_succeeded).count();
         ClassRow {
             class: spec.id.name().to_string(),
             description: spec.description.to_string(),
             programs,
-            defeated,
+            attacks_succeeded,
             attempted,
         }
     };
@@ -206,8 +208,8 @@ fn main() {
         println!("== {title} ==");
         for cr in classes {
             println!(
-                "[{}] {} — DSE defeated {}/{}",
-                cr.class, cr.description, cr.defeated, cr.attempted
+                "[{}] {} — DSE attacks succeeded {}/{}",
+                cr.class, cr.description, cr.attacks_succeeded, cr.attempted
             );
             for p in &cr.programs {
                 let overheads: Vec<String> =
@@ -220,8 +222,8 @@ fn main() {
                 );
                 for d in &p.dse {
                     println!(
-                        "    dse {:<10} defeated={} paths={} instructions={} hazards={}",
-                        d.config, d.defeated, d.paths, d.instructions, d.hazards
+                        "    dse {:<10} attack_succeeded={} paths={} instructions={} hazards={}",
+                        d.config, d.attack_succeeded, d.paths, d.instructions, d.hazards
                     );
                 }
             }

@@ -18,9 +18,8 @@
 //! | `exp_materialize` | — chain materialization throughput (`BENCH_materialize.json`) |
 //!
 //! Every driver composes its obfuscations through [`ObfKind::pipeline`] —
-//! one [`raindrop::Pipeline`] per configuration, including the cross-layer
-//! `ROPk-over-nVM` / `nVM-over-ROPk` rows only that API makes cheap to
-//! express.
+//! one [`raindrop::ObfConfig`] pass list per configuration, including the
+//! cross-layer `ROPk-over-nVM` / `nVM-over-ROPk` rows.
 //!
 //! Every driver accepts `--full` for a larger run and defaults to a
 //! laptop-scale quick run (fewer functions, smaller budgets); the scale used
@@ -29,7 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use raindrop::pipeline::{Pipeline, PipelineError, RopPass, VmPass};
+use raindrop::pipeline::{ObfConfig, Pipeline, PipelineError};
+use raindrop::RopConfig;
 use raindrop_attacks::concolic::{DseBudget, Goal as AttackGoal, InputSpec};
 use raindrop_attacks::fleet::{workers_from_env, DseJob};
 use raindrop_machine::{EmuError, Emulator, Image};
@@ -81,38 +81,33 @@ pub enum ObfKind {
 }
 
 impl ObfKind {
-    /// Table I-style label (cross-layer compositions read outer-first, e.g.
-    /// `ROP1.00-over-1VM`).
-    pub fn label(&self) -> String {
-        match self {
-            ObfKind::Native => "NATIVE".to_string(),
-            ObfKind::Rop { k } => format!("ROP{k:.2}"),
-            ObfKind::Vm { layers, implicit } => VmConfig::with_implicit(*layers, *implicit).label(),
+    /// The pass list realizing this configuration, in nesting order
+    /// (innermost first), so `RopOverVm` is the VM pass then the ROP pass.
+    pub fn config(&self) -> ObfConfig {
+        let vm = |layers, implicit| VmConfig::with_implicit(layers, implicit);
+        match *self {
+            ObfKind::Native => ObfConfig::new(),
+            ObfKind::Rop { k } => ObfConfig::new().rop(RopConfig::ropk(k)),
+            ObfKind::Vm { layers, implicit } => ObfConfig::new().vm(vm(layers, implicit)),
             ObfKind::RopOverVm { k, layers, implicit } => {
-                format!("ROP{k:.2}-over-{}", VmConfig::with_implicit(*layers, *implicit).label())
+                ObfConfig::new().vm(vm(layers, implicit)).rop(RopConfig::ropk(k))
             }
             ObfKind::VmOverRop { k, layers, implicit } => {
-                format!("{}-over-ROP{k:.2}", VmConfig::with_implicit(*layers, *implicit).label())
+                ObfConfig::new().rop(RopConfig::ropk(k)).vm(vm(layers, implicit))
             }
         }
     }
 
-    /// The [`Pipeline`] realizing this configuration, with `seed` threaded
-    /// through every pass. Passes are declared in nesting order (innermost
-    /// first), so `RopOverVm` is `VmPass` then `RopPass`.
+    /// Table I-style label (cross-layer compositions read outer-first, e.g.
+    /// `ROP1.00-over-1VM`).
+    pub fn label(&self) -> String {
+        self.config().label()
+    }
+
+    /// The [`Pipeline`] realizing this configuration, with every pass run
+    /// under `seed`.
     pub fn pipeline(&self, seed: u64) -> Pipeline {
-        let p = Pipeline::new().seed(seed);
-        match self {
-            ObfKind::Native => p,
-            ObfKind::Rop { k } => p.pass(RopPass::ropk(*k)),
-            ObfKind::Vm { layers, implicit } => p.pass(VmPass::with_implicit(*layers, *implicit)),
-            ObfKind::RopOverVm { k, layers, implicit } => {
-                p.pass(VmPass::with_implicit(*layers, *implicit)).pass(RopPass::ropk(*k))
-            }
-            ObfKind::VmOverRop { k, layers, implicit } => {
-                p.pass(RopPass::ropk(*k)).pass(VmPass::with_implicit(*layers, *implicit))
-            }
-        }
+        self.config().pipeline(seed)
     }
 }
 

@@ -19,15 +19,16 @@
 //! Gadget confusion (diversified artificial gadgets, disguised immediates,
 //! unaligned RSP updates) additionally defeats byte-pattern scanning.
 //!
-//! Obfuscations compose through the [`pipeline`] module: a [`Pipeline`]
-//! chains [`ObfPass`]es (ROP rewriting, VM layering, or custom passes) in
-//! nesting order, threads one seed through them, and differentially
-//! verifies the result against the unobfuscated baseline.
+//! Obfuscations compose through the [`pipeline`] module: an [`ObfConfig`]
+//! lists ROP and VM passes in nesting order, and the [`Pipeline`] it builds
+//! runs them all with one seed and differentially verifies the result
+//! against the unobfuscated baseline.
 //!
 //! # Example
 //!
 //! ```
-//! use raindrop::pipeline::{Pipeline, RopPass, VerifyPolicy};
+//! use raindrop::pipeline::{ObfConfig, VerifyPolicy};
+//! use raindrop::RopConfig;
 //! use raindrop_machine::{AluOp, Assembler, Emulator, ImageBuilder, Inst, Reg};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,9 +52,9 @@
 //!
 //! // Rewrite it into a ROP chain through the pipeline, with built-in
 //! // differential verification against the original image.
-//! let run = Pipeline::new()
-//!     .pass(RopPass::full())
-//!     .seed(42)
+//! let run = ObfConfig::new()
+//!     .rop(RopConfig::full())
+//!     .pipeline(42)
 //!     .verify(VerifyPolicy::Batch)
 //!     .run_image(&original, &["double_plus_one"])?;
 //! assert!(run.report.all_verified());
@@ -90,8 +91,8 @@ pub use error::{FailureClass, RewriteError};
 pub use lint::{lint_function, lint_program, RewriteLint};
 pub use materialize::{MaterializeCtx, Materialized};
 pub use pipeline::{
-    AuditEntry, ObfConfig, ObfPass, ObfReport, PassReport, PassSpec, Pipeline, PipelineError,
-    PipelineRun, PipelineWarm, RopPass, VerifyPolicy, VmCode, VmPass,
+    AuditEntry, ObfConfig, ObfReport, PassReport, PassSpec, Pipeline, PipelineError, PipelineRun,
+    PipelineWarm, VerifyPolicy, VmCode,
 };
 pub use predicates::{P1Instance, P2Adjust, P2Operand, P3Policy};
 pub use rewriter::{ImageReport, RewriteReport, Rewriter};

@@ -1,21 +1,23 @@
-//! The composable obfuscation pipeline: one builder API for ROP rewriting,
-//! VM layering, materialization and differential verification.
+//! The obfuscation pipeline: one executor for ROP rewriting, VM layering,
+//! materialization and differential verification.
 //!
 //! The paper's experiments are all *compositions* — `ROPk` rewriting, `nVM`
 //! interpreter stacks, and mixtures of the two — but each building block
 //! lives at a different level: VM virtualization transforms MiniC source,
-//! ROP rewriting transforms the compiled image. A [`Pipeline`] accepts any
-//! sequence of [`ObfPass`]es in *nesting order* (the first pass is the
-//! innermost protection layer), plans where each one runs, compiles the
-//! program at the source→image boundary, threads one RNG seed through every
-//! pass, and differentially verifies the result against the unobfuscated
-//! baseline through [`verify_batch`].
+//! ROP rewriting transforms the compiled image. An [`ObfConfig`] lists the
+//! passes in *nesting order* (the first pass is the innermost protection
+//! layer); [`ObfConfig::pipeline`] pairs it with one RNG seed into a
+//! [`Pipeline`], which plans where each pass runs, compiles the program at
+//! the source→image boundary, runs every pass with that seed, and
+//! differentially verifies the result against the unobfuscated baseline
+//! through [`verify_batch`].
 //!
 //! Cross-level orders compose too:
 //!
-//! * **ROP over VM** (`VmPass` then `RopPass`): the function is virtualized
-//!   first and the generated interpreter is then rewritten into a ROP chain.
-//! * **VM over ROP** (`RopPass` then `VmPass`): the pipeline splits the
+//! * **ROP over VM** (`.vm(..)` then `.rop(..)`): the function is
+//!   virtualized first and the generated interpreter is then rewritten into
+//!   a ROP chain.
+//! * **VM over ROP** (`.rop(..)` then `.vm(..)`): the pipeline splits the
 //!   target — the original body moves to an inner function
 //!   ([`rop_inner_name`]) that the ROP pass rewrites in the image, while a
 //!   wrapper with the public name forwards to it and is what the VM pass
@@ -24,7 +26,9 @@
 //! # Example
 //!
 //! ```
-//! use raindrop::pipeline::{Pipeline, RopPass, VerifyPolicy, VmPass};
+//! use raindrop::pipeline::{ObfConfig, VerifyPolicy};
+//! use raindrop::RopConfig;
+//! use raindrop_obfvm::VmConfig;
 //! use raindrop_synth::minic::{BinOp, Expr, Function, Program, Stmt};
 //!
 //! # fn main() -> Result<(), raindrop::PipelineError> {
@@ -41,10 +45,10 @@
 //! });
 //!
 //! // ROP over VM: virtualize f, then ROP-rewrite the interpreter.
-//! let run = Pipeline::new()
-//!     .pass(VmPass::plain(1))
-//!     .pass(RopPass::full())
-//!     .seed(7)
+//! let run = ObfConfig::new()
+//!     .vm(VmConfig::plain(1))
+//!     .rop(RopConfig::full())
+//!     .pipeline(7)
 //!     .verify(VerifyPolicy::Batch)
 //!     .run_program(&program, &["f"])?;
 //!
@@ -74,15 +78,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Which lowering level a pass transforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Transforms the MiniC [`Program`] before compilation.
-    Source,
-    /// Transforms the compiled [`Image`].
-    Image,
-}
-
 /// Errors that abort a whole pipeline run (per-target obfuscation failures
 /// are collected in [`ObfReport::failures`] instead).
 #[derive(Debug)]
@@ -95,11 +90,6 @@ pub enum PipelineError {
     /// A source-level pass was scheduled on an image-only input
     /// ([`Pipeline::run_image`] cannot go back to source).
     SourcePassOnImage {
-        /// Label of the offending pass.
-        pass: String,
-    },
-    /// A pass was invoked at a stage it does not implement.
-    WrongStage {
         /// Label of the offending pass.
         pass: String,
     },
@@ -125,9 +115,6 @@ impl fmt::Display for PipelineError {
             PipelineError::SourcePassOnImage { pass } => {
                 write!(f, "source-level pass `{pass}` cannot run on an image-only input")
             }
-            PipelineError::WrongStage { pass } => {
-                write!(f, "pass `{pass}` invoked at a stage it does not implement")
-            }
             PipelineError::Codegen(e) => write!(f, "code generation failed: {e}"),
             PipelineError::TargetFailed { function, reason } => {
                 write!(f, "obfuscating `{function}` failed: {reason}")
@@ -137,38 +124,6 @@ impl fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
-
-/// Context handed to [`ObfPass::run_source`].
-pub struct SourceCtx<'a> {
-    /// The pipeline seed, if one was set with [`Pipeline::seed`].
-    pub seed: Option<u64>,
-    /// Public names of the functions this pass must transform.
-    pub targets: &'a [String],
-    /// Virtualization layers already applied per public target name; a
-    /// virtualizing pass must read its base layer from here and bump it, so
-    /// stacked VM passes never collide on per-layer symbols.
-    pub vm_layers: &'a mut BTreeMap<String, usize>,
-    /// Per-target failures (target name, reason). Recording a failure drops
-    /// the target from all subsequent passes.
-    pub failures: &'a mut Vec<(String, String)>,
-}
-
-/// Context handed to [`ObfPass::run_image`].
-pub struct ImageCtx<'a> {
-    /// The pipeline seed, if one was set with [`Pipeline::seed`].
-    pub seed: Option<u64>,
-    /// Names of the functions this pass must transform in the image. These
-    /// are *stage names*: when the pipeline split a target for a later
-    /// source pass, the inner ([`rop_inner_name`]) function appears here.
-    pub targets: &'a [String],
-    /// Per-target failures (stage name, reason).
-    pub failures: &'a mut Vec<(String, String)>,
-    /// Warm materialization buffers shared across passes and — through
-    /// [`Pipeline::run_program_with`] — across whole pipeline runs. Passes
-    /// that materialize chains should route through this instead of
-    /// allocating fresh scratch; reuse never changes output bytes.
-    pub mat: &'a mut MaterializeCtx,
-}
 
 /// Reusable scratch state threaded through pipeline runs.
 ///
@@ -199,11 +154,9 @@ pub enum PassDetail {
     Rop(ImageReport),
     /// VM virtualization: layers and per-function bytecode sizes.
     Vm(VmReport),
-    /// A custom [`ObfPass`] implementation without structured statistics.
-    Custom,
     /// The pass was skipped — either every one of its targets had already
     /// failed an earlier pass, or a per-pass restriction
-    /// ([`Pipeline::only`]) excluded every target of this run. The image
+    /// ([`ObfConfig::only`]) excluded every target of this run. The image
     /// was left untouched by it.
     Skipped,
 }
@@ -216,15 +169,15 @@ pub struct VmReport {
     /// Per-function results: `(public name, bytecode bytes per layer,
     /// innermost first)`.
     pub functions: Vec<(String, Vec<usize>)>,
-    /// The effective seed the pass virtualized with (drives each layer's
-    /// opcode shuffle; the static audit re-derives the assignment from it).
+    /// The seed the pass virtualized with (drives each layer's opcode
+    /// shuffle; the static audit re-derives the assignment from it).
     pub seed: u64,
     /// Snapshot of every bytecode blob the pass emitted, so the static
     /// audit can byte-compare and re-decode them in the final image.
     pub code: Vec<VmCode>,
 }
 
-/// One bytecode blob a [`VmPass`] emitted (see [`VmReport::code`]).
+/// One bytecode blob a VM pass emitted (see [`VmReport::code`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmCode {
     /// Public name of the virtualized function.
@@ -241,10 +194,8 @@ pub struct VmCode {
 /// One entry of [`ObfReport::passes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassReport {
-    /// The pass label ([`ObfPass::label`]).
+    /// The pass label ([`PassSpec::label`]).
     pub label: String,
-    /// The stage the pass ran at.
-    pub stage: Stage,
     /// Wall-clock time spent in the pass.
     pub wall: Duration,
     /// Structured statistics.
@@ -252,7 +203,7 @@ pub struct PassReport {
 }
 
 impl PassReport {
-    /// The ROP rewriting report, when this pass was a [`RopPass`].
+    /// The ROP rewriting report, when this pass was a ROP pass.
     pub fn rop(&self) -> Option<&ImageReport> {
         match &self.detail {
             PassDetail::Rop(r) => Some(r),
@@ -260,7 +211,7 @@ impl PassReport {
         }
     }
 
-    /// The VM report, when this pass was a [`VmPass`].
+    /// The VM report, when this pass was a VM pass.
     pub fn vm(&self) -> Option<&VmReport> {
         match &self.detail {
             PassDetail::Vm(r) => Some(r),
@@ -372,238 +323,6 @@ impl PipelineRun {
     }
 }
 
-/// One obfuscating transformation, composable through [`Pipeline::pass`].
-///
-/// Implementations run at exactly one [`Stage`] and override the matching
-/// `run_*` hook; the other hook's default returns
-/// [`PipelineError::WrongStage`]. Per-target problems belong in the
-/// context's `failures` list (the pipeline then drops the target from later
-/// passes); returning `Err` aborts the whole run.
-pub trait ObfPass {
-    /// Human-readable pass label used in reports and error messages.
-    fn label(&self) -> String;
-
-    /// The stage this pass transforms.
-    fn stage(&self) -> Stage;
-
-    /// Transforms the MiniC program (source-stage passes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::WrongStage`] unless overridden.
-    fn run_source(
-        &self,
-        _program: &mut Program,
-        _cx: &mut SourceCtx<'_>,
-    ) -> Result<PassDetail, PipelineError> {
-        Err(PipelineError::WrongStage { pass: self.label() })
-    }
-
-    /// Transforms the compiled image (image-stage passes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::WrongStage`] unless overridden.
-    fn run_image(
-        &self,
-        _image: &mut Image,
-        _cx: &mut ImageCtx<'_>,
-    ) -> Result<PassDetail, PipelineError> {
-        Err(PipelineError::WrongStage { pass: self.label() })
-    }
-
-    /// Statically audits what this pass emitted into the final `image`,
-    /// given the [`PassDetail`] its `run_*` hook returned. Runs under
-    /// [`VerifyPolicy::Static`] (and via [`Pipeline::static_audit`]); the
-    /// default has nothing to check.
-    fn static_audit(&self, _image: &Image, _detail: &PassDetail) -> Vec<StaticDiagnostic> {
-        Vec::new()
-    }
-}
-
-/// ROP rewriting as a pipeline pass (wraps [`Rewriter`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RopPass {
-    config: RopConfig,
-    explicit_seed: bool,
-}
-
-impl RopPass {
-    /// A pass with an explicit configuration; its seed is *not* overridden
-    /// by [`Pipeline::seed`].
-    pub fn new(config: RopConfig) -> RopPass {
-        RopPass { config, explicit_seed: true }
-    }
-
-    /// The `ROPk` configuration of Table I ([`RopConfig::ropk`]).
-    pub fn ropk(k: f64) -> RopPass {
-        RopPass { config: RopConfig::ropk(k), explicit_seed: false }
-    }
-
-    /// The plain encoding with all predicates off ([`RopConfig::plain`]).
-    pub fn plain() -> RopPass {
-        RopPass { config: RopConfig::plain(), explicit_seed: false }
-    }
-
-    /// Full strength: P1 + P2 + P3 everywhere + gadget confusion
-    /// ([`RopConfig::full`]).
-    pub fn full() -> RopPass {
-        RopPass { config: RopConfig::full(), explicit_seed: false }
-    }
-
-    /// Pins the pass to a specific seed, shielding it from
-    /// [`Pipeline::seed`].
-    pub fn with_seed(mut self, seed: u64) -> RopPass {
-        self.config.seed = seed;
-        self.explicit_seed = true;
-        self
-    }
-
-    /// The configuration this pass will run with under `pipeline_seed`.
-    pub fn effective_config(&self, pipeline_seed: Option<u64>) -> RopConfig {
-        match pipeline_seed {
-            Some(seed) if !self.explicit_seed => self.config.clone().with_seed(seed),
-            _ => self.config.clone(),
-        }
-    }
-}
-
-impl ObfPass for RopPass {
-    fn label(&self) -> String {
-        if self.config.p1.is_none() && self.config.p3_fraction == 0.0 {
-            "ROPplain".to_string()
-        } else {
-            format!("ROP{:.2}", self.config.p3_fraction)
-        }
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::Image
-    }
-
-    fn run_image(
-        &self,
-        image: &mut Image,
-        cx: &mut ImageCtx<'_>,
-    ) -> Result<PassDetail, PipelineError> {
-        let mut rewriter =
-            Rewriter::new(self.effective_config(cx.seed)).with_mat_ctx(std::mem::take(cx.mat));
-        let report = rewriter.rewrite_functions(image, cx.targets.iter().map(String::as_str));
-        *cx.mat = rewriter.take_mat_ctx();
-        cx.failures.extend(report.failures.iter().cloned());
-        Ok(PassDetail::Rop(report))
-    }
-
-    fn static_audit(&self, image: &Image, detail: &PassDetail) -> Vec<StaticDiagnostic> {
-        match detail {
-            PassDetail::Rop(report) => audit_rop_image(image, report),
-            _ => Vec::new(),
-        }
-    }
-}
-
-/// VM virtualization as a pipeline pass (wraps
-/// [`raindrop_obfvm::apply_layers`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct VmPass {
-    config: VmConfig,
-    explicit_seed: bool,
-}
-
-impl VmPass {
-    /// A pass with an explicit configuration; its seed is *not* overridden
-    /// by [`Pipeline::seed`].
-    pub fn new(config: VmConfig) -> VmPass {
-        VmPass { config, explicit_seed: true }
-    }
-
-    /// `nVM` — `layers` nested layers, no implicit flows.
-    pub fn plain(layers: usize) -> VmPass {
-        VmPass { config: VmConfig::plain(layers), explicit_seed: false }
-    }
-
-    /// `nVM-IMPx` — `layers` nested layers with implicit-VPC placement.
-    pub fn with_implicit(layers: usize, implicit: ImplicitAt) -> VmPass {
-        VmPass { config: VmConfig::with_implicit(layers, implicit), explicit_seed: false }
-    }
-
-    /// Pins the pass to a specific seed, shielding it from
-    /// [`Pipeline::seed`].
-    pub fn with_seed(mut self, seed: u64) -> VmPass {
-        self.config.seed = seed;
-        self.explicit_seed = true;
-        self
-    }
-
-    /// The configuration this pass will run with under `pipeline_seed`.
-    pub fn effective_config(&self, pipeline_seed: Option<u64>) -> VmConfig {
-        match pipeline_seed {
-            Some(seed) if !self.explicit_seed => VmConfig { seed, ..self.config },
-            _ => self.config,
-        }
-    }
-}
-
-impl ObfPass for VmPass {
-    fn label(&self) -> String {
-        self.config.label()
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::Source
-    }
-
-    fn run_source(
-        &self,
-        program: &mut Program,
-        cx: &mut SourceCtx<'_>,
-    ) -> Result<PassDetail, PipelineError> {
-        let config = self.effective_config(cx.seed);
-        let mut report = VmReport {
-            layers: config.layers,
-            functions: Vec::new(),
-            seed: config.seed,
-            code: Vec::new(),
-        };
-        for target in cx.targets {
-            let base = cx.vm_layers.get(target).copied().unwrap_or(0);
-            match raindrop_obfvm::apply_layers(program, target, config, base) {
-                Ok(applied) => {
-                    for l in 0..config.layers {
-                        let symbol = raindrop_obfvm::vm_code_symbol(base + l, target);
-                        if let Some(g) = applied.program.globals.iter().find(|g| g.name == symbol) {
-                            report.code.push(VmCode {
-                                function: target.clone(),
-                                layer: base + l,
-                                symbol,
-                                bytes: g.bytes.clone(),
-                            });
-                        }
-                    }
-                    *program = applied.program;
-                    *cx.vm_layers.entry(target.clone()).or_insert(0) += config.layers;
-                    report.functions.push((target.clone(), applied.bytecode_lens));
-                }
-                Err(e) => {
-                    cx.failures.push((target.clone(), format!("vm obfuscation failed: {e}")));
-                }
-            }
-        }
-        Ok(PassDetail::Vm(report))
-    }
-
-    fn static_audit(&self, image: &Image, detail: &PassDetail) -> Vec<StaticDiagnostic> {
-        match detail {
-            PassDetail::Vm(report) => report
-                .code
-                .iter()
-                .flat_map(|c| audit_vm_code(image, &c.symbol, &c.bytes, report.seed, c.layer))
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-}
-
 /// How a pipeline run verifies its output against the unobfuscated
 /// baseline.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -672,7 +391,8 @@ pub fn wrap_rop_target(
     Ok(())
 }
 
-/// One pass of a declarative [`ObfConfig`] chain.
+/// One pass of an [`ObfConfig`] chain. ROP passes transform the compiled
+/// image; VM passes transform the MiniC source.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum PassSpec {
     /// ROP rewriting with this configuration.
@@ -685,7 +405,10 @@ impl PassSpec {
     /// Table I-style label of this pass.
     pub fn label(&self) -> String {
         match self {
-            PassSpec::Rop(cfg) => RopPass::new(cfg.clone()).label(),
+            PassSpec::Rop(cfg) if cfg.p1.is_none() && cfg.p3_fraction == 0.0 => {
+                "ROPplain".to_string()
+            }
+            PassSpec::Rop(cfg) => format!("ROP{:.2}", cfg.p3_fraction),
             PassSpec::Vm(cfg) => cfg.label(),
         }
     }
@@ -776,15 +499,13 @@ impl PassSpec {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ObfConfig {
-    /// Passes in nesting order: the first pass is the innermost layer.
-    pub passes: Vec<PassSpec>,
-    /// Per-pass target restrictions, parallel to `passes` (shorter vectors
-    /// are padded with `None`). `None` applies the pass to the whole run
-    /// target list; `Some(set)` intersects with it — see
+    /// Passes in nesting order (the first pass is the innermost layer),
+    /// each with its target restriction. `None` applies the pass to the
+    /// whole run target list; `Some(set)` intersects with it — see
     /// [`ObfConfig::only`]. Restrictions are set semantics and participate
     /// in [`ObfConfig::config_hash`] only when present, so unrestricted
     /// configurations keep their historical hashes.
-    pub pass_targets: Vec<Option<Vec<String>>>,
+    pub passes: Vec<(PassSpec, Option<Vec<String>>)>,
 }
 
 impl ObfConfig {
@@ -795,17 +516,20 @@ impl ObfConfig {
 
     /// Appends a ROP pass (builder style; its `seed` field is ignored by
     /// [`ObfConfig::pipeline`] and [`ObfConfig::config_hash`]).
+    ///
+    /// Two ROP passes may target the same function only when a VM pass
+    /// sits between them (the wrapper split then gives each its own body):
+    /// ROP-rewriting a function that an earlier ROP pass already replaced
+    /// with a pivot stub is meaningless and records a per-target failure.
     pub fn rop(mut self, cfg: RopConfig) -> ObfConfig {
-        self.passes.push(PassSpec::Rop(cfg));
-        self.pass_targets.push(None);
+        self.passes.push((PassSpec::Rop(cfg), None));
         self
     }
 
     /// Appends a VM pass (builder style; its `seed` field is ignored by
     /// [`ObfConfig::pipeline`] and [`ObfConfig::config_hash`]).
     pub fn vm(mut self, cfg: VmConfig) -> ObfConfig {
-        self.passes.push(PassSpec::Vm(cfg));
-        self.pass_targets.push(None);
+        self.passes.push((PassSpec::Vm(cfg), None));
         self
     }
 
@@ -814,33 +538,23 @@ impl ObfConfig {
     /// (e.g. VM-virtualize `f` while ROP-rewriting `g`). Set semantics:
     /// order and duplicates are ignored; names absent from a run's target
     /// list simply never match. A pass whose restriction excludes every run
-    /// target is recorded as [`PassDetail::Skipped`].
+    /// target is recorded as [`PassDetail::Skipped`] and leaves the
+    /// program/image untouched.
     ///
     /// # Panics
     ///
     /// Panics when no pass has been appended yet.
     pub fn only<S: AsRef<str>>(mut self, targets: &[S]) -> ObfConfig {
-        let slot = self.pass_targets.last_mut().expect("`only` must follow a pass");
-        *slot = Some(normalize_targets(targets));
+        let (_, only) = self.passes.last_mut().expect("`only` must follow a pass");
+        *only = Some(normalize_targets(targets));
         self
     }
 
-    /// Builds the executable [`Pipeline`], threading `seed` into every
-    /// pass (per-pass seed fields in the specs are overridden — the seed is
-    /// an artifact-key component, not part of the configuration) and
-    /// carrying over per-pass target restrictions.
+    /// The executable [`Pipeline`] for this configuration. Every pass runs
+    /// with `seed` (per-pass seed fields in the specs are overridden — the
+    /// seed is an artifact-key component, not part of the configuration).
     pub fn pipeline(&self, seed: u64) -> Pipeline {
-        let mut p = Pipeline::new().seed(seed);
-        for (i, spec) in self.passes.iter().enumerate() {
-            p = match spec {
-                PassSpec::Rop(cfg) => p.pass(RopPass::new(cfg.clone().with_seed(seed))),
-                PassSpec::Vm(cfg) => p.pass(VmPass::new(VmConfig { seed, ..*cfg })),
-            };
-            if let Some(only) = self.pass_targets.get(i).and_then(Option::as_ref) {
-                p = p.only(only);
-            }
-        }
-        p
+        Pipeline { config: self.clone(), seed, verify: VerifyPolicy::None }
     }
 
     /// Outer-first composition label (`ROP0.25-over-1VM`, `NATIVE` when
@@ -849,7 +563,7 @@ impl ObfConfig {
         if self.passes.is_empty() {
             return "NATIVE".to_string();
         }
-        let outer_first: Vec<String> = self.passes.iter().rev().map(PassSpec::label).collect();
+        let outer_first: Vec<String> = self.passes.iter().rev().map(|(p, _)| p.label()).collect();
         outer_first.join("-over-")
     }
 
@@ -859,13 +573,13 @@ impl ObfConfig {
     pub fn config_hash(&self) -> u128 {
         let mut h = StableHasher::new();
         h.write(b"obfconfig/v1;");
-        for (i, spec) in self.passes.iter().enumerate() {
+        for (spec, only) in &self.passes {
             h.write(format!("pass={:032x};", spec.fields().digest()).as_bytes());
             // A restriction is part of the configuration (the same pass
             // chain over different subsets produces different artifacts),
             // but an *absent* restriction hashes to nothing so historical
             // unrestricted hashes stay valid.
-            if let Some(only) = self.pass_targets.get(i).and_then(Option::as_ref) {
+            if let Some(only) = only {
                 h.write(format!("only={};", normalize_targets(only).join(",")).as_bytes());
             }
         }
@@ -881,87 +595,115 @@ fn normalize_targets<S: AsRef<str>>(targets: &[S]) -> Vec<String> {
     list
 }
 
-/// The pipeline builder: passes in nesting order, one seed, one verify
-/// policy. See the [module docs](self) for the execution model.
-#[derive(Default)]
+/// The subset of `list` a pass with restriction `only` may touch (all of it
+/// when unrestricted).
+fn admitted(only: &Option<Vec<String>>, list: &[String]) -> Vec<String> {
+    match only {
+        Some(only) => list.iter().filter(|t| only.contains(*t)).cloned().collect(),
+        None => list.to_vec(),
+    }
+}
+
+/// The run's target list, checked: every name passes `exists` and none
+/// repeats.
+fn check_targets<S: AsRef<str>>(
+    targets: &[S],
+    exists: impl Fn(&str) -> bool,
+) -> Result<Vec<String>, PipelineError> {
+    let targets: Vec<String> = targets.iter().map(|s| s.as_ref().to_string()).collect();
+    for (i, t) in targets.iter().enumerate() {
+        if !exists(t) {
+            return Err(PipelineError::UnknownTarget(t.clone()));
+        }
+        if targets[..i].contains(t) {
+            return Err(PipelineError::DuplicateTarget(t.clone()));
+        }
+    }
+    Ok(targets)
+}
+
+/// An executable [`ObfConfig`]: its passes in nesting order, the one seed
+/// every pass runs with, and a verify policy. Built by
+/// [`ObfConfig::pipeline`]; see the [module docs](self) for the execution
+/// model.
+#[derive(Debug)]
 pub struct Pipeline {
-    passes: Vec<Box<dyn ObfPass>>,
-    /// Per-pass target restrictions, parallel to `passes` (see
-    /// [`Pipeline::only`]).
-    restrictions: Vec<Option<Vec<String>>>,
-    seed: Option<u64>,
+    config: ObfConfig,
+    seed: u64,
     verify: VerifyPolicy,
 }
 
-/// Queued image-stage work for one pass: which stage names it transforms,
-/// and whether the run had any live targets when the job was planned (a
-/// requested-but-empty job is reported [`PassDetail::Skipped`] instead of
-/// invoking the pass).
-struct ImageJob {
+/// Queued image-stage work for one ROP pass: which stage names it
+/// transforms, and whether the run had any live targets when the job was
+/// planned (a requested-but-empty job is reported [`PassDetail::Skipped`]
+/// instead of running the pass).
+struct ImageJob<'a> {
     index: usize,
+    config: &'a RopConfig,
     targets: Vec<String>,
     requested: bool,
 }
 
-impl Pipeline {
-    /// An empty pipeline (running it just compiles / clones the input).
-    pub fn new() -> Pipeline {
-        Pipeline::default()
-    }
-
-    /// Appends a pass. Passes apply in nesting order: the first pass is the
-    /// innermost protection layer.
-    ///
-    /// Two image-stage passes may target the same function only when a
-    /// source-stage pass sits between them (the wrapper split then gives
-    /// each its own body): ROP-rewriting a function that an earlier image
-    /// pass already replaced with a pivot stub is meaningless and records a
-    /// per-target failure.
-    pub fn pass(mut self, pass: impl ObfPass + 'static) -> Pipeline {
-        self.passes.push(Box::new(pass));
-        self.restrictions.push(None);
-        self
-    }
-
-    /// Appends an already-boxed pass (useful when composing dynamically).
-    pub fn boxed_pass(mut self, pass: Box<dyn ObfPass>) -> Pipeline {
-        self.passes.push(pass);
-        self.restrictions.push(None);
-        self
-    }
-
-    /// Restricts the most recently appended pass to `targets`: when the
-    /// pipeline runs, that pass only touches the run targets also named
-    /// here. Set semantics — order and duplicates are ignored, and names
-    /// absent from the run's target list simply never match. A pass whose
-    /// restriction excludes every run target is recorded as
-    /// [`PassDetail::Skipped`] and leaves the program/image untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no pass has been appended yet.
-    pub fn only<S: AsRef<str>>(mut self, targets: &[S]) -> Pipeline {
-        let slot = self.restrictions.last_mut().expect("`only` must follow a pass");
-        *slot = Some(normalize_targets(targets));
-        self
-    }
-
-    /// The subset of `list` the pass at `index` may touch under its
-    /// restriction (all of it when unrestricted).
-    fn restricted(&self, index: usize, list: &[String]) -> Vec<String> {
-        match self.restrictions.get(index).and_then(Option::as_ref) {
-            Some(only) => list.iter().filter(|t| only.contains(*t)).cloned().collect(),
-            None => list.to_vec(),
+/// Virtualizes `targets` (public names) in `program` with `config`. Each
+/// target's layers stack on those earlier VM passes applied (`vm_layers`),
+/// so stacked passes never collide on per-layer symbols; a target that
+/// fails is recorded in `failures`.
+fn run_vm(
+    program: &mut Program,
+    config: VmConfig,
+    targets: &[String],
+    vm_layers: &mut BTreeMap<String, usize>,
+    failures: &mut Vec<(String, String)>,
+) -> PassDetail {
+    let mut report = VmReport {
+        layers: config.layers,
+        functions: Vec::new(),
+        seed: config.seed,
+        code: Vec::new(),
+    };
+    for target in targets {
+        let base = vm_layers.get(target).copied().unwrap_or(0);
+        match raindrop_obfvm::apply_layers(program, target, config, base) {
+            Ok(applied) => {
+                for l in 0..config.layers {
+                    let symbol = raindrop_obfvm::vm_code_symbol(base + l, target);
+                    if let Some(g) = applied.program.globals.iter().find(|g| g.name == symbol) {
+                        report.code.push(VmCode {
+                            function: target.clone(),
+                            layer: base + l,
+                            symbol,
+                            bytes: g.bytes.clone(),
+                        });
+                    }
+                }
+                *program = applied.program;
+                *vm_layers.entry(target.clone()).or_insert(0) += config.layers;
+                report.functions.push((target.clone(), applied.bytecode_lens));
+            }
+            Err(e) => failures.push((target.clone(), format!("vm obfuscation failed: {e}"))),
         }
     }
+    PassDetail::Vm(report)
+}
 
-    /// Threads one seed deterministically through every pass that was not
-    /// explicitly seeded.
-    pub fn seed(mut self, seed: u64) -> Pipeline {
-        self.seed = Some(seed);
-        self
-    }
+/// ROP-rewrites `targets` (stage names) in `image` with `config`, through
+/// the warm materialization buffers `mat`; per-target failures are
+/// recorded in `failures`.
+fn run_rop(
+    image: &mut Image,
+    config: RopConfig,
+    targets: &[String],
+    failures: &mut Vec<(String, String)>,
+    mat: &mut MaterializeCtx,
+) -> PassDetail {
+    let mut rewriter = Rewriter::new(config).with_mat_ctx(std::mem::take(mat));
+    let report = rewriter.rewrite_functions(image, targets.iter().map(String::as_str));
+    *mat = rewriter.take_mat_ctx();
+    failures.extend(report.failures.iter().cloned());
+    PassDetail::Rop(report)
+}
 
+impl Pipeline {
     /// Sets the verification policy (default: [`VerifyPolicy::None`]).
     pub fn verify(mut self, policy: VerifyPolicy) -> Pipeline {
         self.verify = policy;
@@ -973,7 +715,7 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Fails when a target is unknown, compilation fails, or a pass aborts;
+    /// Fails when a target is unknown or repeated, or compilation fails;
     /// per-target obfuscation failures are collected in
     /// [`ObfReport::failures`] instead.
     pub fn run_program<S: AsRef<str>>(
@@ -999,15 +741,7 @@ impl Pipeline {
         warm: &mut PipelineWarm,
     ) -> Result<PipelineRun, PipelineError> {
         let total_start = Instant::now();
-        let targets: Vec<String> = targets.iter().map(|s| s.as_ref().to_string()).collect();
-        for (i, t) in targets.iter().enumerate() {
-            if program.function(t).is_none() {
-                return Err(PipelineError::UnknownTarget(t.clone()));
-            }
-            if targets[..i].contains(t) {
-                return Err(PipelineError::DuplicateTarget(t.clone()));
-            }
-        }
+        let targets = check_targets(targets, |t| program.function(t).is_some())?;
 
         // Pre-flight lint under the static policy: flag target shapes the
         // rewriter is known to mishandle before any pass runs.
@@ -1016,6 +750,7 @@ impl Pipeline {
             _ => Vec::new(),
         };
 
+        let passes = &self.config.passes;
         let mut working = program.clone();
         let mut failures: Vec<(String, String)> = Vec::new();
         let mut vm_layers: BTreeMap<String, usize> = BTreeMap::new();
@@ -1023,55 +758,42 @@ impl Pipeline {
         // target name for reporting.
         let mut public_of: BTreeMap<String, String> = BTreeMap::new();
         let mut active: Vec<String> = targets.clone();
-        let mut image_jobs: Vec<ImageJob> = Vec::new();
+        let mut image_jobs: Vec<ImageJob<'_>> = Vec::new();
         let mut source_mutated = false;
         let mut reports: Vec<Option<PassReport>> = Vec::new();
-        reports.resize_with(self.passes.len(), || None);
+        reports.resize_with(passes.len(), || None);
 
-        // Phase A: walk passes in nesting order, applying source transforms
-        // (including wrapper splits for image passes that must end up below
-        // later source passes) and queueing image-stage work. Each pass sees
-        // only the still-active targets its restriction admits.
-        for (i, pass) in self.passes.iter().enumerate() {
-            match pass.stage() {
-                Stage::Source => {
-                    let snapshot = self.restricted(i, &active);
+        // Phase A: walk passes in nesting order, applying VM passes
+        // (including wrapper splits for ROP passes that must end up below
+        // later VM passes) and queueing ROP work. Each pass sees only the
+        // still-active targets its restriction admits.
+        for (i, (spec, only)) in passes.iter().enumerate() {
+            match spec {
+                PassSpec::Vm(cfg) => {
+                    let snapshot = admitted(only, &active);
                     if snapshot.is_empty() && !active.is_empty() {
                         // The restriction excluded every live target: do not
                         // run the pass (it could still mutate the program)
                         // and do not force a baseline recompile.
-                        reports[i] = Some(PassReport {
-                            label: pass.label(),
-                            stage: Stage::Source,
-                            wall: Duration::ZERO,
-                            detail: PassDetail::Skipped,
-                        });
+                        reports[i] = Some(skipped(spec));
                         continue;
                     }
                     source_mutated = true;
                     let before = failures.len();
                     let start = Instant::now();
-                    let mut cx = SourceCtx {
-                        seed: self.seed,
-                        targets: &snapshot,
-                        vm_layers: &mut vm_layers,
-                        failures: &mut failures,
-                    };
-                    let detail = pass.run_source(&mut working, &mut cx)?;
-                    reports[i] = Some(PassReport {
-                        label: pass.label(),
-                        stage: Stage::Source,
-                        wall: start.elapsed(),
-                        detail,
-                    });
+                    let config = VmConfig { seed: self.seed, ..*cfg };
+                    let detail =
+                        run_vm(&mut working, config, &snapshot, &mut vm_layers, &mut failures);
+                    reports[i] =
+                        Some(PassReport { label: spec.label(), wall: start.elapsed(), detail });
                     let failed: Vec<String> =
                         failures[before..].iter().map(|(n, _)| n.clone()).collect();
                     active.retain(|t| !failed.contains(t));
                 }
-                Stage::Image => {
-                    let pass_active = self.restricted(i, &active);
+                PassSpec::Rop(cfg) => {
+                    let pass_active = admitted(only, &active);
                     let needs_split =
-                        self.passes[i + 1..].iter().any(|p| p.stage() == Stage::Source);
+                        passes[i + 1..].iter().any(|(p, _)| matches!(p, PassSpec::Vm(_)));
                     let stage_targets = if needs_split {
                         let mut inner_names = Vec::with_capacity(pass_active.len());
                         for t in &pass_active {
@@ -1087,6 +809,7 @@ impl Pipeline {
                     };
                     image_jobs.push(ImageJob {
                         index: i,
+                        config: cfg,
                         targets: stage_targets,
                         requested: !active.is_empty(),
                     });
@@ -1094,7 +817,7 @@ impl Pipeline {
             }
         }
 
-        // Phase B: compile once, then run the queued image passes in order.
+        // Phase B: compile once, then run the queued ROP passes in order.
         let compile_start = Instant::now();
         let mut image = codegen::compile(&working).map_err(PipelineError::Codegen)?;
         let compile_wall = compile_start.elapsed();
@@ -1105,7 +828,7 @@ impl Pipeline {
             (VerifyPolicy::None, _) | (_, true) => None,
             (_, false) => Some(image.clone()),
         };
-        self.run_image_jobs(&mut image, image_jobs, &public_of, &mut failures, &mut reports, warm)?;
+        self.run_image_jobs(&mut image, image_jobs, &public_of, &mut failures, &mut reports, warm);
 
         // Map stage-name failures back to public names.
         let failures: Vec<(String, String)> = failures
@@ -1122,7 +845,7 @@ impl Pipeline {
                     Some(b) => b,
                     None => codegen::compile(program).map_err(PipelineError::Codegen)?,
                 };
-                self.run_verification(&baseline, &image, &targets, &failures, &cases)
+                run_verification(&baseline, &image, &targets, &failures, &cases)
             }
             None => Vec::new(),
         };
@@ -1145,13 +868,13 @@ impl Pipeline {
         Ok(PipelineRun { image, report })
     }
 
-    /// Runs the pipeline on an already-compiled image. Source-stage passes
-    /// are rejected: an image cannot be lifted back to MiniC.
+    /// Runs the pipeline on an already-compiled image. VM passes are
+    /// rejected: an image cannot be lifted back to MiniC.
     ///
     /// # Errors
     ///
-    /// Fails when the pipeline contains a source-stage pass, a target is
-    /// unknown, or a pass aborts.
+    /// Fails when the configuration contains a VM pass, or a target is
+    /// unknown or repeated.
     pub fn run_image<S: AsRef<str>>(
         &self,
         image: &Image,
@@ -1173,28 +896,30 @@ impl Pipeline {
         warm: &mut PipelineWarm,
     ) -> Result<PipelineRun, PipelineError> {
         let total_start = Instant::now();
-        if let Some(pass) = self.passes.iter().find(|p| p.stage() == Stage::Source) {
-            return Err(PipelineError::SourcePassOnImage { pass: pass.label() });
+        if let Some((spec, _)) =
+            self.config.passes.iter().find(|(p, _)| matches!(p, PassSpec::Vm(_)))
+        {
+            return Err(PipelineError::SourcePassOnImage { pass: spec.label() });
         }
-        let targets: Vec<String> = targets.iter().map(|s| s.as_ref().to_string()).collect();
-        for (i, t) in targets.iter().enumerate() {
-            if image.function(t).is_err() {
-                return Err(PipelineError::UnknownTarget(t.clone()));
-            }
-            if targets[..i].contains(t) {
-                return Err(PipelineError::DuplicateTarget(t.clone()));
-            }
-        }
+        let targets = check_targets(targets, |t| image.function(t).is_ok())?;
 
         let mut working = image.clone();
         let mut failures: Vec<(String, String)> = Vec::new();
         let mut reports: Vec<Option<PassReport>> = Vec::new();
-        reports.resize_with(self.passes.len(), || None);
-        let image_jobs: Vec<ImageJob> = (0..self.passes.len())
-            .map(|i| ImageJob {
-                index: i,
-                targets: self.restricted(i, &targets),
-                requested: !targets.is_empty(),
+        reports.resize_with(self.config.passes.len(), || None);
+        let image_jobs = self
+            .config
+            .passes
+            .iter()
+            .enumerate()
+            .filter_map(|(index, (spec, only))| match spec {
+                PassSpec::Rop(config) => Some(ImageJob {
+                    index,
+                    config,
+                    targets: admitted(only, &targets),
+                    requested: !targets.is_empty(),
+                }),
+                PassSpec::Vm(_) => None,
             })
             .collect();
         self.run_image_jobs(
@@ -1204,11 +929,11 @@ impl Pipeline {
             &mut failures,
             &mut reports,
             warm,
-        )?;
+        );
 
         let verify_start = Instant::now();
         let verify = match self.verify_cases() {
-            Some(cases) => self.run_verification(image, &working, &targets, &failures, &cases),
+            Some(cases) => run_verification(image, &working, &targets, &failures, &cases),
             None => Vec::new(),
         };
         let verify_wall = verify_start.elapsed();
@@ -1233,14 +958,15 @@ impl Pipeline {
     fn run_image_jobs(
         &self,
         image: &mut Image,
-        jobs: Vec<ImageJob>,
+        jobs: Vec<ImageJob<'_>>,
         public_of: &BTreeMap<String, String>,
         failures: &mut Vec<(String, String)>,
         reports: &mut [Option<PassReport>],
         warm: &mut PipelineWarm,
-    ) -> Result<(), PipelineError> {
+    ) {
         let public = |name: &String| public_of.get(name).unwrap_or(name).clone();
-        for ImageJob { index: i, targets: stage_targets, requested } in jobs {
+        for ImageJob { index: i, config, targets: stage_targets, requested } in jobs {
+            let spec = &self.config.passes[i].0;
             // Drop targets that already failed (under any stage name mapping
             // to the same public function) in an earlier pass, so one
             // failure never cascades into duplicate entries.
@@ -1250,29 +976,17 @@ impl Pipeline {
             if stage_targets.is_empty() && requested {
                 // The run had targets but none survive for this pass (all
                 // failed earlier, or the pass restriction excluded them):
-                // invoking the pass anyway would still mutate the image
-                // (e.g. a RopPass installs its runtime on attach),
-                // diverging from the direct sequence.
-                reports[i] = Some(PassReport {
-                    label: self.passes[i].label(),
-                    stage: Stage::Image,
-                    wall: Duration::ZERO,
-                    detail: PassDetail::Skipped,
-                });
+                // running the pass anyway would still mutate the image (the
+                // rewriter installs its runtime on attach), diverging from
+                // the direct sequence.
+                reports[i] = Some(skipped(spec));
                 continue;
             }
             let start = Instant::now();
-            let mut cx =
-                ImageCtx { seed: self.seed, targets: &stage_targets, failures, mat: &mut warm.mat };
-            let detail = self.passes[i].run_image(image, &mut cx)?;
-            reports[i] = Some(PassReport {
-                label: self.passes[i].label(),
-                stage: Stage::Image,
-                wall: start.elapsed(),
-                detail,
-            });
+            let config = config.clone().with_seed(self.seed);
+            let detail = run_rop(image, config, &stage_targets, failures, &mut warm.mat);
+            reports[i] = Some(PassReport { label: spec.label(), wall: start.elapsed(), detail });
         }
-        Ok(())
     }
 
     fn verify_cases(&self) -> Option<Vec<TestCase>> {
@@ -1283,52 +997,53 @@ impl Pipeline {
         }
     }
 
-    /// Statically audits `image` against a run's report: each pass checks
-    /// what it emitted (chains, bytecode) via [`ObfPass::static_audit`],
-    /// plus a final whole-image symbol audit. This is what
-    /// [`VerifyPolicy::Static`] runs; it is public so callers can re-audit
-    /// an image later (e.g. after deserializing it, or to pin that a
-    /// deliberately corrupted copy is flagged).
+    /// Statically audits `image` against a run's report: each pass's
+    /// emitted chains or bytecode, plus a final whole-image symbol audit.
+    /// This is what [`VerifyPolicy::Static`] runs; it is public so callers
+    /// can re-audit an image later (e.g. after deserializing it, or to pin
+    /// that a deliberately corrupted copy is flagged).
     pub fn static_audit(&self, image: &Image, report: &ObfReport) -> Vec<AuditEntry> {
-        let mut out = Vec::new();
-        for (pass, pr) in self.passes.iter().zip(&report.passes) {
-            out.push(AuditEntry {
+        let mut out: Vec<AuditEntry> = report
+            .passes
+            .iter()
+            .map(|pr| AuditEntry {
                 pass: pr.label.clone(),
-                diagnostics: pass.static_audit(image, &pr.detail),
-            });
-        }
+                diagnostics: match &pr.detail {
+                    PassDetail::Rop(r) => audit_rop_image(image, r),
+                    PassDetail::Vm(r) => r
+                        .code
+                        .iter()
+                        .flat_map(|c| audit_vm_code(image, &c.symbol, &c.bytes, r.seed, c.layer))
+                        .collect(),
+                    PassDetail::Skipped => Vec::new(),
+                },
+            })
+            .collect();
         out.push(AuditEntry { pass: "image".to_string(), diagnostics: audit_symbols(image) });
         out
     }
-
-    fn run_verification(
-        &self,
-        baseline: &Image,
-        obfuscated: &Image,
-        targets: &[String],
-        failures: &[(String, String)],
-        cases: &[TestCase],
-    ) -> Vec<VerifyOutcome> {
-        targets
-            .iter()
-            .filter(|t| !failures.iter().any(|(f, _)| f == *t))
-            .map(|t| VerifyOutcome {
-                function: t.clone(),
-                verdicts: verify_batch(baseline, obfuscated, t, cases),
-            })
-            .collect()
-    }
 }
 
-impl fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("passes", &self.passes.iter().map(|p| p.label()).collect::<Vec<_>>())
-            .field("restrictions", &self.restrictions)
-            .field("seed", &self.seed)
-            .field("verify", &self.verify)
-            .finish()
-    }
+/// The report of a pass that did not run (see [`PassDetail::Skipped`]).
+fn skipped(spec: &PassSpec) -> PassReport {
+    PassReport { label: spec.label(), wall: Duration::ZERO, detail: PassDetail::Skipped }
+}
+
+fn run_verification(
+    baseline: &Image,
+    obfuscated: &Image,
+    targets: &[String],
+    failures: &[(String, String)],
+    cases: &[TestCase],
+) -> Vec<VerifyOutcome> {
+    targets
+        .iter()
+        .filter(|t| !failures.iter().any(|(f, _)| f == *t))
+        .map(|t| VerifyOutcome {
+            function: t.clone(),
+            verdicts: verify_batch(baseline, obfuscated, t, cases),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1367,7 +1082,7 @@ mod tests {
     #[test]
     fn empty_pipeline_just_compiles() {
         let p = sample_program();
-        let run = Pipeline::new().run_program(&p, &["f"]).unwrap();
+        let run = ObfConfig::new().pipeline(1).run_program(&p, &["f"]).unwrap();
         assert_eq!(run.image, codegen::compile(&p).unwrap());
         assert!(run.report.passes.is_empty());
     }
@@ -1375,11 +1090,12 @@ mod tests {
     #[test]
     fn rop_over_vm_and_vm_over_rop_both_preserve_semantics() {
         let p = sample_program();
-        for (label, pipeline) in [
-            ("rop-over-vm", Pipeline::new().pass(VmPass::plain(1)).pass(RopPass::full()).seed(3)),
-            ("vm-over-rop", Pipeline::new().pass(RopPass::full()).pass(VmPass::plain(1)).seed(3)),
+        for (label, config) in [
+            ("rop-over-vm", ObfConfig::new().vm(VmConfig::plain(1)).rop(RopConfig::full())),
+            ("vm-over-rop", ObfConfig::new().rop(RopConfig::full()).vm(VmConfig::plain(1))),
         ] {
-            let run = pipeline.verify(VerifyPolicy::Batch).run_program(&p, &["f"]).unwrap();
+            let run =
+                config.pipeline(3).verify(VerifyPolicy::Batch).run_program(&p, &["f"]).unwrap();
             assert!(run.report.failures.is_empty(), "{label}: {:?}", run.report.failures);
             assert!(run.report.all_verified(), "{label}");
             for x in [0u64, 9, 1000] {
@@ -1391,10 +1107,10 @@ mod tests {
     #[test]
     fn vm_over_rop_keeps_the_rop_chain_underneath() {
         let p = sample_program();
-        let run = Pipeline::new()
-            .pass(RopPass::full())
-            .pass(VmPass::plain(1))
-            .seed(11)
+        let run = ObfConfig::new()
+            .rop(RopConfig::full())
+            .vm(VmConfig::plain(1))
+            .pipeline(11)
             .run_program(&p, &["f"])
             .unwrap();
         // The inner function was ROP-rewritten: its chain lives in .data.
@@ -1407,12 +1123,13 @@ mod tests {
     #[test]
     fn static_policy_audits_cross_layer_runs_clean() {
         let p = sample_program();
-        for (label, pipeline) in [
-            ("rop", Pipeline::new().pass(RopPass::full()).seed(5)),
-            ("rop-over-vm", Pipeline::new().pass(VmPass::plain(1)).pass(RopPass::full()).seed(5)),
-            ("vm-over-rop", Pipeline::new().pass(RopPass::full()).pass(VmPass::plain(1)).seed(5)),
+        for (label, config) in [
+            ("rop", ObfConfig::new().rop(RopConfig::full())),
+            ("rop-over-vm", ObfConfig::new().vm(VmConfig::plain(1)).rop(RopConfig::full())),
+            ("vm-over-rop", ObfConfig::new().rop(RopConfig::full()).vm(VmConfig::plain(1))),
         ] {
-            let run = pipeline.verify(VerifyPolicy::Static).run_program(&p, &["f"]).unwrap();
+            let run =
+                config.pipeline(5).verify(VerifyPolicy::Static).run_program(&p, &["f"]).unwrap();
             assert!(run.report.failures.is_empty(), "{label}: {:?}", run.report.failures);
             assert!(run.report.verify.is_empty(), "{label}: static policy never emulates");
             assert!(
@@ -1427,10 +1144,10 @@ mod tests {
     #[test]
     fn static_audit_flags_flipped_bytecode_and_chain_words() {
         let p = sample_program();
-        let pipeline = Pipeline::new()
-            .pass(VmPass::plain(1))
-            .pass(RopPass::full())
-            .seed(5)
+        let pipeline = ObfConfig::new()
+            .vm(VmConfig::plain(1))
+            .rop(RopConfig::full())
+            .pipeline(5)
             .verify(VerifyPolicy::Static);
         let run = pipeline.run_program(&p, &["f"]).unwrap();
         assert!(run.report.audit_clean());
@@ -1479,9 +1196,9 @@ mod tests {
             locals: 0,
             body: vec![Stmt::Return(Expr::Call("zero".into(), vec![]))],
         });
-        let run = Pipeline::new()
-            .pass(RopPass::plain())
-            .seed(1)
+        let run = ObfConfig::new()
+            .rop(RopConfig::plain())
+            .pipeline(1)
             .verify(VerifyPolicy::Static)
             .run_program(&p, &["caller"])
             .unwrap();
@@ -1498,33 +1215,19 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_seed_reaches_unseeded_passes_only() {
-        let rop = RopPass::full();
-        assert_eq!(rop.effective_config(Some(9)).seed, 9);
-        let pinned = RopPass::full().with_seed(5);
-        assert_eq!(pinned.effective_config(Some(9)).seed, 5);
-        let vm = VmPass::plain(2);
-        assert_eq!(vm.effective_config(Some(9)).seed, 9);
-        let vm_pinned = VmPass::plain(2).with_seed(4);
-        assert_eq!(vm_pinned.effective_config(Some(9)).seed, 4);
-        let explicit = RopPass::new(RopConfig::full());
-        assert_eq!(explicit.effective_config(Some(9)).seed, RopConfig::full().seed);
-    }
-
-    #[test]
     fn unknown_targets_and_source_passes_on_images_are_rejected() {
         let p = sample_program();
         assert!(matches!(
-            Pipeline::new().run_program(&p, &["nope"]),
+            ObfConfig::new().pipeline(1).run_program(&p, &["nope"]),
             Err(PipelineError::UnknownTarget(_))
         ));
         assert!(matches!(
-            Pipeline::new().run_program(&p, &["f", "f"]),
+            ObfConfig::new().pipeline(1).run_program(&p, &["f", "f"]),
             Err(PipelineError::DuplicateTarget(_))
         ));
         let image = codegen::compile(&p).unwrap();
         assert!(matches!(
-            Pipeline::new().pass(VmPass::plain(1)).run_image(&image, &["f"]),
+            ObfConfig::new().vm(VmConfig::plain(1)).pipeline(1).run_image(&image, &["f"]),
             Err(PipelineError::SourcePassOnImage { .. })
         ));
     }
@@ -1540,8 +1243,9 @@ mod tests {
             body: vec![Stmt::Return(Expr::c(1))],
         });
         let image = codegen::compile(&tiny).unwrap();
-        let run = Pipeline::new()
-            .pass(RopPass::plain())
+        let run = ObfConfig::new()
+            .rop(RopConfig::plain())
+            .pipeline(RopConfig::default().seed)
             .verify(VerifyPolicy::Batch)
             .run_image(&image, &["tiny"])
             .unwrap();
@@ -1564,11 +1268,11 @@ mod tests {
             locals: 0,
             body: vec![Stmt::Return(Expr::c(1))],
         });
-        let run = Pipeline::new()
-            .pass(RopPass::plain())
-            .pass(VmPass::plain(1))
-            .pass(RopPass::full())
-            .seed(8)
+        let run = ObfConfig::new()
+            .rop(RopConfig::plain())
+            .vm(VmConfig::plain(1))
+            .rop(RopConfig::full())
+            .pipeline(8)
             .run_program(&p, &["f", "tiny"])
             .unwrap();
         assert_eq!(run.report.failures.len(), 1, "{:?}", run.report.failures);
@@ -1584,10 +1288,10 @@ mod tests {
     #[test]
     fn report_carries_pass_structure_and_stats() {
         let p = sample_program();
-        let run = Pipeline::new()
-            .pass(VmPass::plain(1))
-            .pass(RopPass::ropk(1.0))
-            .seed(2)
+        let run = ObfConfig::new()
+            .vm(VmConfig::plain(1))
+            .rop(RopConfig::ropk(1.0))
+            .pipeline(2)
             .verify(VerifyPolicy::Batch)
             .run_program(&p, &["f"])
             .unwrap();
@@ -1645,20 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn obf_config_pipeline_matches_hand_built_pipeline() {
-        let p = sample_program();
-        let config = ObfConfig::new().vm(VmConfig::plain(1)).rop(RopConfig::ropk(0.25));
-        let via_config = config.pipeline(9).run_program(&p, &["f"]).unwrap();
-        let via_hand = Pipeline::new()
-            .pass(VmPass::new(VmConfig { seed: 9, ..VmConfig::plain(1) }))
-            .pass(RopPass::new(RopConfig::ropk(0.25).with_seed(9)))
-            .seed(9)
-            .run_program(&p, &["f"])
-            .unwrap();
-        assert_eq!(via_config.image, via_hand.image, "identical images byte for byte");
-    }
-
-    #[test]
     fn warm_state_reuse_is_invisible() {
         // The server's per-worker warm state must be undetectable in the
         // output: a pipeline run through a context that already protected
@@ -1702,12 +1392,12 @@ mod tests {
         // One run, two disjoint protections: virtualize `f`, ROP-rewrite
         // `g`. Each pass must touch only its own subset.
         let p = two_function_program();
-        let run = Pipeline::new()
-            .pass(VmPass::plain(1))
+        let run = ObfConfig::new()
+            .vm(VmConfig::plain(1))
             .only(&["f"])
-            .pass(RopPass::ropk(1.0))
+            .rop(RopConfig::ropk(1.0))
             .only(&["g"])
-            .seed(3)
+            .pipeline(3)
             .verify(VerifyPolicy::Batch)
             .run_program(&p, &["f", "g"])
             .unwrap();
@@ -1732,10 +1422,10 @@ mod tests {
         let p = sample_program();
         // Image-stage pass restricted to a function this run never targets:
         // skipped, and the output is the plain compile.
-        let run = Pipeline::new()
-            .pass(RopPass::ropk(1.0))
+        let run = ObfConfig::new()
+            .rop(RopConfig::ropk(1.0))
             .only(&["g"])
-            .seed(1)
+            .pipeline(1)
             .run_program(&p, &["f"])
             .unwrap();
         assert_eq!(run.report.passes[0].detail, PassDetail::Skipped);
@@ -1743,10 +1433,10 @@ mod tests {
 
         // Source-stage pass likewise — and the skip must not force a
         // wrapper split or baseline recompile.
-        let run = Pipeline::new()
-            .pass(VmPass::plain(1))
+        let run = ObfConfig::new()
+            .vm(VmConfig::plain(1))
             .only(&["g"])
-            .seed(1)
+            .pipeline(1)
             .run_program(&p, &["f"])
             .unwrap();
         assert_eq!(run.report.passes[0].detail, PassDetail::Skipped);
@@ -1778,23 +1468,13 @@ mod tests {
         let b = ObfConfig::new().rop(RopConfig::ropk(0.25)).only(&["a", "b", "a"]);
         assert_eq!(a.config_hash(), b.config_hash());
 
-        // pipeline() threads the restrictions: config-driven equals
-        // hand-built, byte for byte.
+        // pipeline() threads the restriction: restricting the pass to `g`
+        // over targets [f, g] is the unrestricted pass over [g] alone.
         let p = two_function_program();
-        let config = ObfConfig::new()
-            .vm(VmConfig::plain(1))
-            .only(&["f"])
-            .rop(RopConfig::ropk(1.0))
-            .only(&["g"]);
-        let via_config = config.pipeline(9).run_program(&p, &["f", "g"]).unwrap();
-        let via_hand = Pipeline::new()
-            .pass(VmPass::new(VmConfig { seed: 9, ..VmConfig::plain(1) }))
-            .only(&["f"])
-            .pass(RopPass::new(RopConfig::ropk(1.0).with_seed(9)))
-            .only(&["g"])
-            .seed(9)
-            .run_program(&p, &["f", "g"])
-            .unwrap();
-        assert_eq!(via_config.image, via_hand.image, "identical images byte for byte");
+        let restricted = ObfConfig::new().rop(RopConfig::ropk(1.0)).only(&["g"]);
+        let via_only = restricted.pipeline(9).run_program(&p, &["f", "g"]).unwrap();
+        let unrestricted = ObfConfig::new().rop(RopConfig::ropk(1.0));
+        let via_targets = unrestricted.pipeline(9).run_program(&p, &["g"]).unwrap();
+        assert_eq!(via_only.image, via_targets.image, "identical images byte for byte");
     }
 }

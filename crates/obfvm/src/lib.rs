@@ -807,7 +807,7 @@ pub fn apply(program: &Program, func_name: &str, config: VmConfig) -> Result<Pro
 
 /// Like [`apply`], but numbers the generated layers starting at
 /// `base_layer`, so repeated virtualization of the same function (e.g. two
-/// stacked `VmPass`es in a `raindrop` pipeline) never collides on the
+/// stacked VM passes in a `raindrop` pipeline) never collides on the
 /// per-layer global names (`__vm<layer>_<func>_code` etc.) or reuses a
 /// layer's opcode shuffle. `apply_layers(p, f, cfg, 0)` is exactly
 /// [`apply`]; implicit-VPC placement (`First`/`Last`) stays relative to this

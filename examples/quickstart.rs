@@ -1,10 +1,11 @@
 //! Quickstart: compile a small function, rewrite it into a ROP chain
-//! through the `Pipeline` builder, run both, and show what the binary looks
+//! through an `ObfConfig` pipeline, run both, and show what the binary looks
 //! like afterwards.
 //!
 //! Run with `cargo run -p raindrop-bench --example quickstart`.
 
-use raindrop::pipeline::{Pipeline, RopPass, VerifyPolicy};
+use raindrop::pipeline::{ObfConfig, VerifyPolicy};
+use raindrop::RopConfig;
 use raindrop_machine::Emulator;
 use raindrop_synth::codegen;
 use raindrop_synth::minic::{BinOp, Expr, Function, Program, Stmt};
@@ -38,10 +39,12 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = Program::new().with_function(f);
     let original = codegen::compile(&program)?;
 
-    // One pipeline: full-strength ROP rewriting plus built-in differential
-    // verification against the unobfuscated baseline.
-    let run = Pipeline::new()
-        .pass(RopPass::full())
+    // One pipeline: full-strength ROP rewriting under the default seed, plus
+    // built-in differential verification against the unobfuscated baseline.
+    let full = RopConfig::full();
+    let run = ObfConfig::new()
+        .rop(full.clone())
+        .pipeline(full.seed)
         .verify(VerifyPolicy::Batch)
         .run_program(&program, &["weighted_sum"])?;
     let protected = run.image.clone();

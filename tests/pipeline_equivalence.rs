@@ -4,7 +4,7 @@
 //! determinism. Any intentional change to how the pipeline plans, splits,
 //! seeds or orders passes must update these tests consciously.
 
-use raindrop::pipeline::{rop_inner_name, wrap_rop_target, Pipeline, RopPass, VmPass};
+use raindrop::pipeline::{rop_inner_name, wrap_rop_target, ObfConfig};
 use raindrop::{Rewriter, RopConfig};
 use raindrop_machine::{Emulator, Image};
 use raindrop_obfvm::{ImplicitAt, VmConfig};
@@ -49,9 +49,9 @@ fn rop_only_pipeline_matches_direct_rewriter() {
     let mut rw = Rewriter::new(RopConfig::ropk(1.0).with_seed(SEED));
     rw.rewrite_function(&mut direct, &rf.name).unwrap();
 
-    let run = Pipeline::new()
-        .pass(RopPass::ropk(1.0))
-        .seed(SEED)
+    let run = ObfConfig::new()
+        .rop(RopConfig::ropk(1.0))
+        .pipeline(SEED)
         .run_program(&rf.program, &[&rf.name])
         .unwrap();
     assert!(run.report.failures.is_empty());
@@ -68,10 +68,10 @@ fn rop_over_vm_pipeline_matches_direct_sequence() {
     let mut rw = Rewriter::new(RopConfig::ropk(0.25).with_seed(SEED));
     rw.rewrite_function(&mut direct, &rf.name).unwrap();
 
-    let run = Pipeline::new()
-        .pass(VmPass::plain(1))
-        .pass(RopPass::ropk(0.25))
-        .seed(SEED)
+    let run = ObfConfig::new()
+        .vm(VmConfig::plain(1))
+        .rop(RopConfig::ropk(0.25))
+        .pipeline(SEED)
         .run_program(&rf.program, &[&rf.name])
         .unwrap();
     assert!(run.report.failures.is_empty());
@@ -93,10 +93,10 @@ fn vm_over_rop_pipeline_matches_direct_sequence() {
     let mut rw = Rewriter::new(RopConfig::ropk(0.25).with_seed(SEED));
     rw.rewrite_function(&mut direct, &inner).unwrap();
 
-    let run = Pipeline::new()
-        .pass(RopPass::ropk(0.25))
-        .pass(VmPass::plain(1))
-        .seed(SEED)
+    let run = ObfConfig::new()
+        .rop(RopConfig::ropk(0.25))
+        .vm(VmConfig::plain(1))
+        .pipeline(SEED)
         .run_program(&rf.program, &[&rf.name])
         .unwrap();
     assert!(run.report.failures.is_empty());
@@ -110,12 +110,12 @@ fn two_layer_vm_pipeline_matches_direct_apply() {
     let vm_program = raindrop_obfvm::apply(&rf.program, &rf.name, vm_cfg(2)).unwrap();
     let direct = codegen::compile(&vm_program).unwrap();
 
-    let run = Pipeline::new()
-        .pass(VmPass::plain(2))
-        .seed(SEED)
+    let run = ObfConfig::new()
+        .vm(VmConfig::plain(2))
+        .pipeline(SEED)
         .run_program(&rf.program, &[&rf.name])
         .unwrap();
-    assert_eq!(run.image, direct, "one 2-layer VmPass equals a direct layers=2 apply");
+    assert_eq!(run.image, direct, "one 2-layer VM pass equals a direct layers=2 apply");
 }
 
 #[test]
@@ -128,13 +128,13 @@ fn stacked_vm_passes_match_apply_layers_with_base_offsets() {
     let second = raindrop_obfvm::apply_layers(&first.program, &rf.name, vm_cfg(1), 1).unwrap();
     let direct = codegen::compile(&second.program).unwrap();
 
-    let run = Pipeline::new()
-        .pass(VmPass::plain(1))
-        .pass(VmPass::plain(1))
-        .seed(SEED)
+    let run = ObfConfig::new()
+        .vm(VmConfig::plain(1))
+        .vm(VmConfig::plain(1))
+        .pipeline(SEED)
         .run_program(&rf.program, &[&rf.name])
         .unwrap();
-    assert_eq!(run.image, direct, "stacked VmPasses equal chained apply_layers calls");
+    assert_eq!(run.image, direct, "stacked VM passes equal chained apply_layers calls");
     assert_secret_works(&run.image, &rf.name, rf.secret_input, "vm-over-vm");
 }
 
@@ -150,9 +150,9 @@ fn multi_function_pipeline_matches_direct_rewrite_functions() {
     let report = rw.rewrite_functions(&mut direct, w.obfuscate.iter().map(|s| s.as_str()));
     assert!(report.failures.is_empty(), "{:?}", report.failures);
 
-    let run = Pipeline::new()
-        .pass(RopPass::ropk(0.25))
-        .seed(SEED)
+    let run = ObfConfig::new()
+        .rop(RopConfig::ropk(0.25))
+        .pipeline(SEED)
         .run_program(&w.program, &w.obfuscate)
         .unwrap();
     assert!(run.report.failures.is_empty());
@@ -164,11 +164,11 @@ fn pipeline_runs_are_seed_deterministic() {
     let rf = sample_rf();
     let build = |seed: u64, rop_first: bool| {
         let p = if rop_first {
-            Pipeline::new().pass(RopPass::ropk(1.0)).pass(VmPass::plain(1))
+            ObfConfig::new().rop(RopConfig::ropk(1.0)).vm(VmConfig::plain(1))
         } else {
-            Pipeline::new().pass(VmPass::plain(1)).pass(RopPass::ropk(1.0))
+            ObfConfig::new().vm(VmConfig::plain(1)).rop(RopConfig::ropk(1.0))
         };
-        p.seed(seed).run_program(&rf.program, &[&rf.name]).unwrap().image
+        p.pipeline(seed).run_program(&rf.program, &[&rf.name]).unwrap().image
     };
     for rop_first in [false, true] {
         let a = build(3, rop_first);

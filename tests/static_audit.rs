@@ -11,13 +11,13 @@
 //! * the audit's verdicts come typed ([`StaticDiagnostic`]), so each
 //!   sabotage pins the *kind* of diagnostic, not just non-emptiness.
 
-use raindrop::pipeline::{Pipeline, RopPass, VerifyPolicy, VmPass};
+use raindrop::pipeline::{ObfConfig, VerifyPolicy};
 use raindrop::{
     audit_rop_function, verify_batch, Rewriter, RopConfig, StaticDiagnostic, TestCase, Verdict,
 };
 use raindrop_bench::ObfKind;
 use raindrop_machine::{Assembler, Image, ImageBuilder, Inst, Mem, Reg};
-use raindrop_obfvm::ImplicitAt;
+use raindrop_obfvm::{ImplicitAt, VmConfig};
 use raindrop_synth::classes::{self, ClassId};
 use raindrop_synth::Workload;
 
@@ -233,19 +233,19 @@ fn flipped_switch_relocation_is_flagged() {
 fn static_and_batch_policies_agree_on_healthy_outputs() {
     let w = first_workload();
     let target = &w.obfuscate[0];
-    let static_run = Pipeline::new()
-        .pass(VmPass::plain(1))
-        .pass(RopPass::full())
-        .seed(SEED)
+    let static_run = ObfConfig::new()
+        .vm(VmConfig::plain(1))
+        .rop(RopConfig::full())
+        .pipeline(SEED)
         .verify(VerifyPolicy::Static)
         .run_program(&w.program, std::slice::from_ref(target))
         .expect("pipeline runs");
     assert!(static_run.report.audit_clean());
 
-    let batch_run = Pipeline::new()
-        .pass(VmPass::plain(1))
-        .pass(RopPass::full())
-        .seed(SEED)
+    let batch_run = ObfConfig::new()
+        .vm(VmConfig::plain(1))
+        .rop(RopConfig::full())
+        .pipeline(SEED)
         .verify(VerifyPolicy::Batch)
         .run_program(&w.program, std::slice::from_ref(target))
         .expect("pipeline runs");

@@ -14,7 +14,7 @@
 //! generator coverage fails here (and in the `exp_workloads --smoke` CI
 //! gate) instead of silently shipping unverified.
 
-use raindrop::pipeline::{rop_inner_name, wrap_rop_target, Pipeline, RopPass, VmPass};
+use raindrop::pipeline::{rop_inner_name, wrap_rop_target, ObfConfig};
 use raindrop::{verify_batch, Rewriter, RopConfig, TestCase, Verdict};
 use raindrop_bench::{prepare_image, ObfKind};
 use raindrop_machine::{Emulator, Image};
@@ -119,9 +119,9 @@ fn rop_pipeline_is_bit_identical_to_the_direct_rewriter_across_seeds() {
             let report = rw.rewrite_functions(&mut direct, w.obfuscate.iter().map(|s| s.as_str()));
             assert!(report.failures.is_empty(), "{}: {:?}", w.name, report.failures);
 
-            let run = Pipeline::new()
-                .pass(RopPass::ropk(1.0))
-                .seed(seed)
+            let run = ObfConfig::new()
+                .rop(RopConfig::ropk(1.0))
+                .pipeline(seed)
                 .run_program(&w.program, &w.obfuscate)
                 .unwrap();
             assert!(run.report.failures.is_empty());
@@ -146,9 +146,9 @@ fn two_layer_vm_pipeline_is_bit_identical_per_class() {
         let vm_program = raindrop_obfvm::apply(&w.program, &w.entry, vm_cfg(2, seed)).unwrap();
         let direct = codegen::compile(&vm_program).unwrap();
 
-        let run = Pipeline::new()
-            .pass(VmPass::plain(2))
-            .seed(seed)
+        let run = ObfConfig::new()
+            .vm(VmConfig::plain(2))
+            .pipeline(seed)
             .run_program(&w.program, &[&w.entry])
             .unwrap();
         assert_eq!(run.image, direct, "{}/{}: 2VM pipeline vs direct apply", class.name(), w.name);
@@ -177,10 +177,10 @@ fn vm_over_rop_pipeline_is_bit_identical_per_class() {
         let mut rw = Rewriter::new(RopConfig::ropk(1.0).with_seed(seed));
         rw.rewrite_function(&mut direct, &inner).unwrap();
 
-        let run = Pipeline::new()
-            .pass(RopPass::ropk(1.0))
-            .pass(VmPass::plain(1))
-            .seed(seed)
+        let run = ObfConfig::new()
+            .rop(RopConfig::ropk(1.0))
+            .vm(VmConfig::plain(1))
+            .pipeline(seed)
             .run_program(&w.program, &[&w.entry])
             .unwrap();
         assert!(run.report.failures.is_empty());
