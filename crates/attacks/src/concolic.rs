@@ -5,8 +5,8 @@
 //! registers and memory bytes that depend on the attacker-controlled input.
 //! Every conditional branch whose flags depend on the input yields a path
 //! [`Constraint`]; the DSE driver performs generational search — negate one
-//! constraint at a time, ask the [`Solver`] for an input, re-execute — until
-//! the goal is reached or the work budget runs out. The cost unit is
+//! constraint at a time, ask the [`SearchSolver`] for an input, re-execute —
+//! until the goal is reached or the work budget runs out. The cost unit is
 //! emulated instructions, so the relative slowdowns caused by ROP chains,
 //! P1/P3 and VM interpreters are measured on the same scale the paper uses
 //! wall-clock time for.
@@ -57,7 +57,7 @@
 //! [`ExecStats`]: raindrop_machine::ExecStats
 //! [`Snapshot`]: raindrop_machine::Snapshot
 
-use crate::solver::{Constraint, SearchSolver, SetDigest, Solver, VarDomain};
+use crate::solver::{Constraint, SearchSolver, SetDigest, VarDomain};
 use crate::sym::{BinKind, EvalMemo, ExprArena, ExprId, UnKind};
 use raindrop_machine::{AluOp, Cond, EmuError, Emulator, Image, Inst, Reg, Snapshot};
 use serde::{Deserialize, Serialize};
@@ -1621,8 +1621,8 @@ pub struct DseAttack<'a> {
     spec: InputSpec,
     budget: DseBudget,
     mode: ExploreMode,
-    /// The feasibility backend behind the generational search.
-    solver: Box<dyn Solver>,
+    /// The feasibility solver behind the generational search.
+    solver: SearchSolver,
     /// Memoized solver queries keyed by the normalized constraint set: a
     /// duplicate-safe [`SetDigest`] of the distinct prefix-constraint
     /// structural hashes, plus the negated constraint's hash. Equivalent
@@ -1636,8 +1636,7 @@ pub struct DseAttack<'a> {
 }
 
 impl<'a> DseAttack<'a> {
-    /// Creates an attack instance (fork-point explore mode, built-in
-    /// [`SearchSolver`] backend).
+    /// Creates an attack instance (fork-point explore mode).
     pub fn new(image: &'a Image, func: &'a str, spec: InputSpec, budget: DseBudget) -> Self {
         DseAttack {
             image,
@@ -1645,7 +1644,7 @@ impl<'a> DseAttack<'a> {
             spec,
             budget,
             mode: ExploreMode::ForkPoint,
-            solver: Box::new(SearchSolver::new()),
+            solver: SearchSolver::new(),
             solve_cache: HashMap::new(),
             solver_calls: 0,
             cache_hits: 0,
@@ -1655,13 +1654,6 @@ impl<'a> DseAttack<'a> {
     /// Selects the explore mode (builder style).
     pub fn with_mode(mut self, mode: ExploreMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Replaces the feasibility backend (builder style). The default is the
-    /// built-in [`SearchSolver`]; any [`Solver`] implementation slots in.
-    pub fn with_solver(mut self, solver: Box<dyn Solver>) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -1730,8 +1722,9 @@ pub struct DseFrontier {
     pub solver_capped: bool,
     /// Sticky flag: solved candidates were dropped by the frontier cap.
     pub frontier_dropped: bool,
-    /// RNG draws the solver has consumed ([`Solver::rng_draws`]): a fresh
-    /// solver fast-forwards here so the random stream continues exactly.
+    /// RNG draws the solver has consumed ([`SearchSolver::rng_draws`]): a
+    /// fresh solver fast-forwards here so the random stream continues
+    /// exactly.
     pub rng_draws: u64,
     /// Wall time accumulated before this checkpoint.
     pub wall: Duration,

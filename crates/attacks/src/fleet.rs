@@ -1,10 +1,10 @@
 //! Self-contained DSE jobs, and the worker count that batches of them run
 //! on.
 //!
-//! The DSE-bound experiment suites (`exp_table2`, `exp_efficacy`,
-//! `exp_dse_speed`) attack many corpus functions independently: each
-//! [`DseJob`] is one attack, and a batch of them runs through
-//! [`raindrop_sched::scoped_map`] (`|_, job| job.run()`) on
+//! The DSE-bound experiment suites (`exp_table2`, `exp_efficacy`, the
+//! benchmark's `attack` workload) attack many corpus functions
+//! independently: each [`DseJob`] is one attack, and a batch of them runs
+//! through [`raindrop_sched::scoped_map`] (`|_, job| job.run()`) on
 //! [`workers_from_env`] threads — the same work-stealing primitives that
 //! drive the protection server. Each worker owns its emulators outright —
 //! the fork-point engine inside every [`DseAttack`] keeps one warm emulator

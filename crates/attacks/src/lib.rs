@@ -8,9 +8,9 @@
 //!   interned [`ExprId`] nodes with algebraic simplification at
 //!   construction time, plus the inversion helper the search solver leans
 //!   on;
-//! * [`solver`] — the [`Solver`] trait fronting constraint feasibility, the
-//!   built-in inversion-plus-random [`SearchSolver`] backend, and the
-//!   duplicate-safe [`SetDigest`] used for solve-cache keys;
+//! * [`solver`] — constraint feasibility: the inversion-plus-random
+//!   [`SearchSolver`] and the duplicate-safe [`SetDigest`] used for
+//!   solve-cache keys;
 //! * [`concolic`] — dynamic symbolic execution (the S2E stand-in): shadowed
 //!   concrete runs, path constraints, generational search with fork-point
 //!   snapshot restores and a normalized constraint/solve cache, goals G1
@@ -82,7 +82,7 @@ pub use concolic::{
 };
 pub use fleet::{workers_from_env, DseJob, DseJobResult};
 pub use ropaware::{chain_symbol, flip_exploration, gadget_guess, FlipReport, GuessReport};
-pub use solver::{Assignment, Constraint, SearchSolver, SetDigest, Solver, VarDomain};
+pub use solver::{Assignment, Constraint, SearchSolver, SetDigest, VarDomain};
 pub use static_lift::{lift_function, lift_image, LiftReport};
 pub use sym::{invert, BinKind, EvalMemo, ExprArena, ExprId, UnKind};
 pub use tds::{simplify, simplify_trace, TdsReport};

@@ -2,17 +2,15 @@
 //!
 //! The concolic engine records [`Constraint`]s — branch conditions over
 //! interned [`ExprId`]s — and the generational search asks one question per
-//! flip: *is there an input that satisfies this constraint sequence?* The
-//! [`Solver`] trait owns that question, so the search backend is a pluggable
-//! component (an SMT bridge would slot in behind the same interface); the
-//! built-in [`SearchSolver`] answers it with inversion, exhaustive
-//! enumeration of small domains and bounded random search — the same
-//! concrete strategies the engine previously hard-coded.
+//! flip: *is there an input that satisfies this constraint sequence?*
+//! [`SearchSolver`] answers it with inversion, exhaustive enumeration of
+//! small domains and bounded random search — the same concrete strategies
+//! the engine previously hard-coded.
 //!
 //! # Example
 //!
 //! ```
-//! use raindrop_attacks::solver::{Constraint, SearchSolver, Solver, VarDomain};
+//! use raindrop_attacks::solver::{Constraint, SearchSolver, VarDomain};
 //! use raindrop_attacks::sym::{BinKind, ExprArena};
 //! use raindrop_machine::Cond;
 //!
@@ -128,48 +126,7 @@ pub struct VarDomain {
     pub exhaustive: Option<u64>,
 }
 
-/// A feasibility backend for constraint queries.
-///
-/// `feasible` receives the full query — a constraint sequence that must
-/// *all* hold — and returns a satisfying [`Assignment`], or `None` if the
-/// backend cannot find one (which the explorer treats as unsatisfiable; an
-/// incomplete backend trades exhaustiveness for speed, exactly the paper's
-/// attacker model). The engine always queries a recorded path prefix with
-/// the last constraint's direction flipped, and walks flips deepest-first;
-/// implementations may exploit that shape (see [`SearchSolver`]) but must
-/// not require it.
-pub trait Solver {
-    /// Finds an input under `domain` satisfying every constraint of
-    /// `query`, or `None`. `hint` is the input that drove the recorded
-    /// path — a good starting point, since it already satisfies every
-    /// query constraint except the flipped last one.
-    fn feasible(
-        &mut self,
-        arena: &mut ExprArena,
-        query: &[Constraint],
-        domain: &VarDomain,
-        hint: &[u64],
-    ) -> Option<Assignment>;
-
-    /// Signals that subsequent queries come from a fresh engine run (new
-    /// arena: previously seen [`ExprId`]s are meaningless). Implementations
-    /// drop any id-keyed state here.
-    fn begin_run(&mut self) {}
-
-    /// RNG draws consumed since construction. Checkpointing a paused attack
-    /// records this; stateless/deterministic backends keep the default 0.
-    fn rng_draws(&self) -> u64 {
-        0
-    }
-
-    /// Fast-forwards a *freshly constructed* backend to the state after
-    /// `draws` RNG draws, so a resumed attack continues the exact random
-    /// stream the checkpointed run would have used. Only moves forward;
-    /// backends without RNG state ignore it.
-    fn fast_forward(&mut self, _draws: u64) {}
-}
-
-/// The built-in search backend: inversion along invertible operator
+/// The feasibility search: inversion along invertible operator
 /// chains, exhaustive walks of small variable domains, and bounded random
 /// search with a depth backoff.
 ///
@@ -255,10 +212,17 @@ impl SearchSolver {
         self.memo.insert(input.to_vec(), v);
         v
     }
-}
 
-impl Solver for SearchSolver {
-    fn feasible(
+    /// Finds an input under `domain` satisfying every constraint of
+    /// `query`, or `None` if the search cannot find one (which the explorer
+    /// treats as unsatisfiable; the search is incomplete and trades
+    /// exhaustiveness for speed, exactly the paper's attacker model).
+    /// `hint` is the input that drove the recorded path — a good starting
+    /// point, since it already satisfies every query constraint except the
+    /// flipped last one. The engine always queries a recorded path prefix
+    /// with the last constraint's direction flipped, and walks flips
+    /// deepest-first, which is the shape the memo exploits.
+    pub fn feasible(
         &mut self,
         arena: &mut ExprArena,
         query: &[Constraint],
@@ -363,16 +327,24 @@ impl Solver for SearchSolver {
         None
     }
 
-    fn begin_run(&mut self) {
+    /// Signals that subsequent queries come from a fresh engine run (new
+    /// arena: previously seen [`ExprId`]s are meaningless), so the id-keyed
+    /// record and memo are dropped.
+    pub fn begin_run(&mut self) {
         self.record.clear();
         self.memo.clear();
     }
 
-    fn rng_draws(&self) -> u64 {
+    /// RNG draws consumed since construction. Checkpointing a paused
+    /// attack records this.
+    pub fn rng_draws(&self) -> u64 {
         self.draws
     }
 
-    fn fast_forward(&mut self, draws: u64) {
+    /// Fast-forwards a *freshly constructed* solver to the state after
+    /// `draws` RNG draws, so a resumed attack continues the exact random
+    /// stream the checkpointed run would have used. Only moves forward.
+    pub fn fast_forward(&mut self, draws: u64) {
         for _ in self.draws..draws {
             let _: u64 = self.rng.gen();
         }

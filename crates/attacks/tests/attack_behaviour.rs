@@ -14,7 +14,7 @@ use raindrop_attacks::{
 use raindrop_machine::{Emulator, Image};
 use raindrop_obfvm::{apply, ImplicitAt, VmConfig};
 use raindrop_synth::{
-    codegen, generate_randomfun, paper_structures, Goal, RandomFun, RandomFunConfig,
+    codegen, generate_randomfun, paper_structures, Ctrl, Goal, RandomFun, RandomFunConfig,
 };
 
 /// A small point-test function (G1 flavour) with a 1-byte input.
@@ -165,6 +165,41 @@ fn vm_obfuscation_slows_dse_less_than_high_ropk_within_the_quick_budget() {
     assert!(
         !rop_outcome.success || rop_outcome.instructions > vm_outcome.instructions,
         "ROP1.00 resists at least as well as 1VM"
+    );
+}
+
+#[test]
+fn deep_p3_chain_stays_symbolic_past_the_tree_counted_hazard() {
+    // A 40-iteration loop with a branch per iteration under ROP1.00: the P3
+    // dispatch builds long dependent expression chains. The DAG-counted
+    // size hazard keeps every fork symbolic; the tree-counted engine it
+    // replaced forked at most 497 branches on any path before its first
+    // hazard, even on the 200-iteration version of this loop.
+    let rf = generate_randomfun(RandomFunConfig {
+        structure: Ctrl::for_(Ctrl::if_(Ctrl::bb(4), Ctrl::bb(4))),
+        structure_name: "(for (if (bb 4) (bb 4)))".into(),
+        input_size: 4,
+        seed: 7,
+        goal: Goal::SecretFinding,
+        loop_size: 40,
+    });
+    let image = rop_protect(&rf, 1.0, 1);
+    let budget = DseBudget {
+        total_instructions: 120_000_000,
+        per_path_instructions: 12_000_000,
+        max_paths: 6,
+        max_wall: Duration::from_secs(20),
+        max_solver_calls: 60,
+        ..DseBudget::default()
+    };
+    let mut attack =
+        DseAttack::new(&image, &rf.name, InputSpec::RegisterArg { size_bytes: 4 }, budget);
+    let outcome = attack.run(AttackGoal::Secret { want: 1 });
+    assert!(outcome.hazard_causes.is_empty(), "no path hit a hazard: {:?}", outcome.hazard_causes);
+    assert!(
+        outcome.max_branches_pre_hazard > 497,
+        "deepest path forked {} branches pre-hazard",
+        outcome.max_branches_pre_hazard
     );
 }
 

@@ -7,7 +7,7 @@
 use raindrop_attacks::campaign::{
     replay_log, Campaign, CampaignConfig, CampaignReport, CampaignStatus, FaultPlan,
 };
-use raindrop_attacks::concolic::{DseBudget, DseOutcome, Goal, InputSpec};
+use raindrop_attacks::concolic::{DseAttack, DseBudget, DseOutcome, Goal, InputSpec};
 use raindrop_attacks::fleet::DseJob;
 use raindrop_synth::{codegen, generate_randomfun, paper_structures, Goal as RfGoal, RandomFun};
 use std::path::PathBuf;
@@ -133,6 +133,18 @@ fn run_uninterrupted(tag: &str) -> CampaignReport {
 #[test]
 fn killed_and_resumed_campaign_converges() {
     let reference = run_uninterrupted("ref-kill");
+
+    // The reference itself matches every job run directly, with no slices
+    // and no checkpoints: orchestration changes no result.
+    for (job, direct) in reference.jobs.iter().zip(make_jobs()) {
+        let label = format!("direct/{}", job.label);
+        let (outcome, audit) =
+            DseAttack::new(&direct.image, &direct.func, direct.spec.clone(), direct.budget)
+                .with_mode(direct.mode)
+                .run_audited(direct.goal);
+        assert_same_outcome(&label, &outcome, job.outcome().expect("reference job done"));
+        assert_eq!(Some(&audit), job.audit(), "[{label}] same exploration schedule");
+    }
 
     // Kill the campaign after every single checkpoint write: the harshest
     // schedule, exercising resume at *every* checkpoint boundary. Each

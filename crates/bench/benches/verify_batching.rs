@@ -1,10 +1,7 @@
 //! Criterion micro-benchmark of the batched differential verifier against
 //! its per-case equivalent.
 //!
-//! CI runs this as a smoke with `cargo bench --bench emu_dispatch -- --test`.
-//! Emulator dispatch throughput itself is measured by the `exp_emu_dispatch`
-//! driver (`scripts/regen_bench_emu.sh` regenerates the committed
-//! `BENCH_emu.json` trajectory from it; `--smoke` is its CI path).
+//! CI runs this as a smoke with `cargo bench --bench verify_batching -- --test`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use raindrop::{verify_batch, Rewriter, RopConfig, TestCase};

@@ -15,7 +15,6 @@
 //! | `exp_coverage` | §VII-C1 — rewriting coverage over the corpus |
 //! | `exp_base64` | §VII-C3 — base64 case study |
 //! | `exp_efficacy` | §VII-A — per-predicate efficacy against DSE/TDS/ROP-aware tools |
-//! | `exp_materialize` | — chain materialization throughput (`BENCH_materialize.json`) |
 //!
 //! Every driver composes its obfuscations through [`ObfKind::pipeline`] —
 //! one [`raindrop::ObfConfig`] pass list per configuration, including the
@@ -149,7 +148,7 @@ pub fn ropk_fractions() -> Vec<f64> {
 /// (The pre-pipeline helper retired lazily per function, which could craft
 /// such dangling references; images with ≥ 2 rewritten functions therefore
 /// differ bitwise from its output. Single-function preparation — including
-/// every `BENCH_dse.json` job — is unchanged.)
+/// every [`dse_speed_suite`] job — is unchanged.)
 pub fn prepare_image(
     program: &raindrop_synth::Program,
     functions: &[String],
@@ -224,11 +223,12 @@ pub fn dse_budget(quick: bool) -> DseBudget {
     }
 }
 
-/// One job of the `exp_dse_speed` suite: a prepared image plus the attack
-/// to mount on it. The suite is the DSE-bound slice of the Table II quick
-/// run (three structures, two input sizes, both goals, three
-/// configurations) and must stay stable across PRs — `BENCH_dse.json`
-/// compares wall-clock trajectories over exactly this job list.
+/// One job of the DSE speed suite: a prepared image plus the attack to
+/// mount on it. The suite is the DSE-bound slice of the Table II quick run
+/// (three structures, two input sizes, both goals, three configurations)
+/// and must stay stable across changes — the benchmark's `attack` workload
+/// (`perfbench/`) compares wall-clock trajectories over exactly this job
+/// list.
 pub struct DseSpeedJob {
     /// Human-readable job label (`<structure>/<size>/<goal>/<config>`).
     pub label: String,
@@ -242,8 +242,8 @@ pub struct DseSpeedJob {
     pub goal: AttackGoal,
 }
 
-/// The fixed job list `exp_dse_speed` measures (see [`DseSpeedJob`]).
-/// `smoke` trims it to a CI-sized subset.
+/// The fixed job list the benchmark's `attack` workload runs (see
+/// [`DseSpeedJob`]). `smoke` trims it to a small subset.
 pub fn dse_speed_suite(smoke: bool) -> Vec<DseSpeedJob> {
     let structures = raindrop_synth::paper_structures();
     let picks: &[usize] = if smoke { &[0] } else { &[0, 1, 3] };
@@ -295,16 +295,13 @@ pub fn dse_speed_suite(smoke: bool) -> Vec<DseSpeedJob> {
     jobs
 }
 
-/// The budget `exp_dse_speed` gives every job: the Table II quick budget
-/// plus a solver-work cap (`smoke` shrinks everything so the CI step
+/// The budget every [`dse_speed_suite`] job gets: the Table II quick
+/// budget plus a solver-work cap (`smoke` shrinks everything so a run
 /// finishes in seconds).
 ///
 /// The solver cap is what lets defeated attacks terminate on *work* rather
-/// than wall clock: the frozen pre-PR explorer managed ~17 solver calls in
-/// the 5 s wall (the cap never bound — the wall always hit first), so its
-/// baseline numbers are valid under this budget definition, while the
-/// current engine performs the full 600 calls and exits long before the
-/// wall.
+/// than wall clock: the engine performs the full 600 calls and exits long
+/// before the 5 s wall.
 pub fn dse_speed_budget(smoke: bool) -> DseBudget {
     if smoke {
         DseBudget {
@@ -317,80 +314,6 @@ pub fn dse_speed_budget(smoke: bool) -> DseBudget {
         }
     } else {
         DseBudget { max_solver_calls: 600, ..dse_budget(true) }
-    }
-}
-
-/// The depth-stress workload: a deep P3-heavy ROP chain (`ROP1.00` over a
-/// 200-iteration loop with a branch per iteration) whose shadow run builds
-/// long dependent expression chains. Under the tree-counted size hazard
-/// this workload concretized after a handful of forked branches; the
-/// DAG-counted arena keeps it symbolic far deeper. `exp_dse_speed
-/// --depth-stress` measures how many distinct branches the explorer forks
-/// before the first expression-size hazard.
-pub fn depth_stress_randomfun() -> RandomFun {
-    raindrop_synth::generate_randomfun(raindrop_synth::RandomFunConfig {
-        structure: raindrop_synth::randomfuns::Ctrl::for_(raindrop_synth::randomfuns::Ctrl::if_(
-            raindrop_synth::randomfuns::Ctrl::bb(4),
-            raindrop_synth::randomfuns::Ctrl::bb(4),
-        )),
-        structure_name: "(for (if (bb 4) (bb 4)))".into(),
-        input_size: 4,
-        seed: 7,
-        goal: raindrop_synth::Goal::SecretFinding,
-        loop_size: depth_stress_loop_size(false),
-    })
-}
-
-/// The loop trip count of the depth-stress workload (`smoke` shrinks it so
-/// the CI step finishes in seconds while still crossing the old tree-size
-/// hazard threshold).
-pub fn depth_stress_loop_size(smoke: bool) -> u64 {
-    if smoke {
-        40
-    } else {
-        200
-    }
-}
-
-/// A CI-sized variant of [`depth_stress_randomfun`].
-pub fn depth_stress_randomfun_smoke() -> RandomFun {
-    raindrop_synth::generate_randomfun(raindrop_synth::RandomFunConfig {
-        structure: raindrop_synth::randomfuns::Ctrl::for_(raindrop_synth::randomfuns::Ctrl::if_(
-            raindrop_synth::randomfuns::Ctrl::bb(4),
-            raindrop_synth::randomfuns::Ctrl::bb(4),
-        )),
-        structure_name: "(for (if (bb 4) (bb 4)))".into(),
-        input_size: 4,
-        seed: 7,
-        goal: raindrop_synth::Goal::SecretFinding,
-        loop_size: depth_stress_loop_size(true),
-    })
-}
-
-/// The budget of the depth-stress run: generous instruction/wall room (one
-/// deep path through a ROP1.00 chain costs tens of millions of guest
-/// instructions) with tight path/solver caps, because the measurement is
-/// about how deep the *first* paths stay symbolic, not about cracking the
-/// secret.
-pub fn depth_stress_budget(smoke: bool) -> DseBudget {
-    if smoke {
-        DseBudget {
-            total_instructions: 120_000_000,
-            per_path_instructions: 12_000_000,
-            max_paths: 6,
-            max_wall: Duration::from_secs(20),
-            max_solver_calls: 60,
-            ..DseBudget::default()
-        }
-    } else {
-        DseBudget {
-            total_instructions: 600_000_000,
-            per_path_instructions: 60_000_000,
-            max_paths: 12,
-            max_wall: Duration::from_secs(60),
-            max_solver_calls: 300,
-            ..DseBudget::default()
-        }
     }
 }
 
@@ -537,82 +460,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 /// Parses the common `--full` flag.
 pub fn is_full_run() -> bool {
     std::env::args().any(|a| a == "--full")
-}
-
-/// The `straight_line` dispatch workload shared by the `emu_dispatch`
-/// criterion bench and the `exp_emu_dispatch` driver: `rdi` iterations of a
-/// 64-instruction unrolled register-only ALU kernel (plus the 2-instruction
-/// loop tail), entry `spin`. One builder so both report the same kernel
-/// under the same label.
-pub fn straight_line_image() -> Image {
-    use raindrop_machine::{AluOp, Assembler, Cond, ImageBuilder, Inst, Reg};
-    let mut a = Assembler::new();
-    let top = a.new_label();
-    a.inst(Inst::MovRI(Reg::Rax, 1));
-    a.inst(Inst::MovRI(Reg::Rcx, 3));
-    a.inst(Inst::MovRI(Reg::Rdx, 5));
-    a.bind(top);
-    for _ in 0..16 {
-        a.inst(Inst::Alu(AluOp::Add, Reg::Rax, Reg::Rcx));
-        a.inst(Inst::Alu(AluOp::Xor, Reg::Rcx, Reg::Rdx));
-        a.inst(Inst::Alu(AluOp::Add, Reg::Rdx, Reg::Rax));
-        a.inst(Inst::Shl(Reg::Rax, 1));
-    }
-    a.inst(Inst::AluI(AluOp::Sub, Reg::Rdi, 1));
-    a.jcc(Cond::Ne, top);
-    a.inst(Inst::Ret);
-    let mut b = ImageBuilder::new();
-    b.add_function("spin", a);
-    b.build().expect("straight-line image links")
-}
-
-/// A synthetic chain shaped like a crafted one — mostly gadget+imm pairs
-/// with branch deltas, block markers and unaligned confusion padding —
-/// shared by the `materialize` criterion bench and the `exp_materialize`
-/// driver so both measure the same layout under the same label.
-pub fn synthetic_chain(items: usize, gadget_addr: u64) -> raindrop::Chain {
-    use raindrop::{Chain, ChainItem, DeltaTarget};
-    use raindrop_analysis::BlockId;
-    use raindrop_gadgets::GadgetOp;
-    let mut chain = Chain::new();
-    let mut block = 0usize;
-    for i in 0..items {
-        match i % 8 {
-            0 => {
-                chain.items.push(ChainItem::BlockStart(BlockId(block)));
-                block += 1;
-            }
-            1 | 4 | 6 => chain.items.push(ChainItem::Gadget {
-                addr: gadget_addr,
-                junk_pops: usize::from(i % 16 == 4),
-                op: GadgetOp::Unclassified,
-            }),
-            2 | 5 => chain.items.push(ChainItem::Imm(i as u64)),
-            3 => chain.items.push(ChainItem::BranchDelta {
-                target: DeltaTarget::Item(i - 2),
-                anchor: i - 2,
-                bias: 0,
-            }),
-            _ => chain.items.push(ChainItem::Pad(vec![0xAA; 3])),
-        }
-    }
-    chain
-}
-
-/// An image with `funcs` rewritable functions (`f0`..), each big enough for
-/// the pivot stub — the materialization-bench workload image.
-pub fn many_function_image(funcs: usize) -> Image {
-    use raindrop_machine::{Assembler, ImageBuilder, Inst, Reg};
-    let mut b = ImageBuilder::new();
-    for i in 0..funcs {
-        let mut a = Assembler::new();
-        for _ in 0..12 {
-            a.inst(Inst::MovRI(Reg::Rax, 7));
-        }
-        a.inst(Inst::Ret);
-        b.add_function(format!("f{i}"), a);
-    }
-    b.build().expect("image links")
 }
 
 /// Generates a laptop-scale subset of the 72-function population: one seed

@@ -238,9 +238,8 @@ impl Emulator {
 
     /// Enables or disables the predecoded instruction cache. Disabled, the
     /// emulator re-decodes every fetch — the reference slow path that the
-    /// differential stepper tests (and the `emu_dispatch` bench baseline)
-    /// compare the cached fast path against. Results are bit-identical
-    /// either way; only the speed differs.
+    /// differential stepper tests compare the cached fast path against.
+    /// Results are bit-identical either way; only the speed differs.
     pub fn set_icache_enabled(&mut self, enabled: bool) {
         self.icache_enabled = enabled;
     }

@@ -181,9 +181,10 @@ fn pipeline_runs_are_seed_deterministic() {
 
 #[test]
 fn pipeline_prepares_the_same_images_the_dse_speed_suite_froze() {
-    // BENCH_dse.json compares wall clock over a fixed job list whose images
-    // are now prepared through the pipeline; pin the ROP preparation path
-    // to the direct sequence the frozen baseline used.
+    // The benchmark's `attack` workload compares wall clock over the fixed
+    // `dse_speed_suite` job list, whose images are prepared through the
+    // pipeline; pin the ROP preparation path to the direct rewriter sequence
+    // so the images it attacks stay those of earlier runs.
     let rf = sample_rf();
     let mut direct = codegen::compile(&rf.program).unwrap();
     let mut rw = Rewriter::new(RopConfig::ropk(1.0).with_seed(1));
