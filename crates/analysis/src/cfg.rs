@@ -387,11 +387,14 @@ pub fn reconstruct_from_code(image: &Image, func: &FuncCode) -> Result<Cfg, CfgE
     let addr_to_block: BTreeMap<u64, BlockId> =
         leader_list.iter().enumerate().map(|(i, a)| (*a, BlockId(i))).collect();
 
+    // The instructions are in address order, so each block is the slice
+    // between two partition points.
     let mut blocks = Vec::with_capacity(leader_list.len());
     for (i, &start) in leader_list.iter().enumerate() {
         let block_end = leader_list.get(i + 1).copied().unwrap_or(end_addr);
-        let insts: Vec<(u64, Inst)> =
-            func.insts.iter().filter(|(a, _)| *a >= start && *a < block_end).cloned().collect();
+        let first = func.insts.partition_point(|(a, _)| *a < start);
+        let stop = func.insts.partition_point(|(a, _)| *a < block_end);
+        let insts = func.insts[first..stop].to_vec();
         let last = insts.last().cloned();
         let term = match last {
             Some((addr, Inst::Ret)) | Some((addr, Inst::Hlt)) => {

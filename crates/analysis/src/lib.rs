@@ -10,7 +10,6 @@
 //! * [`mod@cfg`] — control-flow-graph reconstruction from function bytes,
 //!   including the switch-table heuristic of the paper's appendix;
 //! * [`liveness`] — backward register and condition-flag liveness;
-//! * [`domtree`] — dominator trees;
 //! * [`dataflow`] — forward "input-derived register" analysis used to place
 //!   the P3 predicate.
 //!
@@ -39,7 +38,6 @@
 pub mod absint;
 pub mod cfg;
 pub mod dataflow;
-pub mod domtree;
 pub mod liveness;
 
 pub use absint::{
@@ -48,5 +46,4 @@ pub use absint::{
 };
 pub use cfg::{BasicBlock, BlockId, Cfg, CfgError, FuncCode, Terminator};
 pub use dataflow::{input_derived, InputDerived};
-pub use domtree::{compute as dominators, DomTree};
 pub use liveness::{analyze as liveness_analyze, Liveness};

@@ -1,9 +1,9 @@
 //! Integration tests over the binary analyses the rewriter relies on:
 //! CFG reconstruction (including diamonds, loops and switch tables),
-//! liveness, dominators and the input-derived (symbolic-register) dataflow.
+//! liveness and the input-derived (symbolic-register) dataflow.
 
 use proptest::prelude::*;
-use raindrop_analysis::{cfg, dataflow, dominators, liveness, BlockId, Terminator};
+use raindrop_analysis::{cfg, dataflow, liveness, BlockId, Terminator};
 use raindrop_machine::{AluOp, Assembler, Cond, Image, ImageBuilder, Inst, Mem, Reg, RegSet};
 
 /// Builds a single-function image.
@@ -285,51 +285,6 @@ fn exit_live_set_contains_the_return_value_and_callee_saved() {
     assert!(!s.contains(Reg::R10));
 }
 
-// --- dominators ------------------------------------------------------------------
-
-#[test]
-fn entry_dominates_every_block() {
-    let img = image_of(diamond);
-    let g = cfg::reconstruct(&img, "f").unwrap();
-    let dom = dominators(&g);
-    for b in &g.blocks {
-        assert!(dom.dominates(g.entry(), b.id));
-        assert!(dom.dominates(b.id, b.id), "dominance is reflexive");
-    }
-    assert_eq!(dom.idom(g.entry()), None, "the entry has no immediate dominator");
-}
-
-#[test]
-fn branch_arms_do_not_dominate_each_other_but_dominate_nothing_past_the_join() {
-    let img = image_of(diamond);
-    let g = cfg::reconstruct(&img, "f").unwrap();
-    let dom = dominators(&g);
-    let (taken, fallthrough) = match &g.block(g.entry()).term {
-        Terminator::Branch { taken, fallthrough } => (*taken, *fallthrough),
-        _ => unreachable!(),
-    };
-    assert!(!dom.dominates(taken, fallthrough));
-    assert!(!dom.dominates(fallthrough, taken));
-    // The join block is dominated by the entry only.
-    let join = g.blocks.iter().find(|b| b.term == Terminator::Return).map(|b| b.id).unwrap();
-    assert!(dom.dominates(g.entry(), join));
-    assert!(!dom.dominates(taken, join));
-    assert_eq!(dom.idom(join), Some(g.entry()));
-}
-
-#[test]
-fn loop_head_dominates_the_loop_body() {
-    let img = image_of(counted_loop);
-    let g = cfg::reconstruct(&img, "f").unwrap();
-    let dom = dominators(&g);
-    // The block with two predecessors is the loop head; the latch (its
-    // predecessor with the higher address) must be dominated by it.
-    let preds = g.predecessors();
-    let head = g.blocks.iter().find(|b| preds[b.id.0].len() >= 2).unwrap().id;
-    let latch = preds[head.0].iter().copied().max_by_key(|p| g.block(*p).start).unwrap();
-    assert!(dom.dominates(head, latch));
-}
-
 // --- input-derived registers ------------------------------------------------------
 
 #[test]
@@ -489,21 +444,11 @@ proptest! {
             }
         }
 
-        // 4. Dominators: the entry dominates everything; idom is a dominator.
-        let dom = dominators(&g);
-        for b in &g.blocks {
-            prop_assert!(dom.dominates(g.entry(), b.id));
-            if let Some(idom) = dom.idom(b.id) {
-                prop_assert!(dom.dominates(idom, b.id));
-                prop_assert!(idom != b.id);
-            }
-        }
-
-        // 5. Input-derived registers at entry are exactly the arguments.
+        // 4. Input-derived registers at entry are exactly the arguments.
         let derived = dataflow::input_derived(&g, RegSet::from_regs(Reg::ARGS));
         prop_assert_eq!(derived.at_entry[g.entry().0], RegSet::from_regs(Reg::ARGS));
 
-        // 6. Block partitioning covers the function without overlap.
+        // 5. Block partitioning covers the function without overlap.
         let func = img.function("f").unwrap();
         let mut spans: Vec<(u64, u64)> = g.blocks.iter().map(|b| (b.start, b.end())).collect();
         spans.sort_unstable();

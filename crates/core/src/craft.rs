@@ -191,9 +191,10 @@ impl<'a> Crafter<'a> {
         let pf = preserve_flags || reads_flags;
         let avoid = avoid.union(self.scratch_in_use);
         let g = self.catalog.request(self.image, op, avoid, pf, &mut self.rng);
+        let (addr, junk_pops) = (g.addr, g.junk_pops.len());
         let idx = self.chain.items.len();
-        self.chain.items.push(ChainItem::Gadget { addr: g.addr, junk_pops: g.junk_pops.len(), op });
-        for _ in 0..g.junk_pops.len() {
+        self.chain.items.push(ChainItem::Gadget { addr, junk_pops, op });
+        for _ in 0..junk_pops {
             let junk = self.rng.gen::<u32>() as u64;
             self.chain.items.push(ChainItem::Imm(junk));
         }
@@ -212,8 +213,7 @@ impl<'a> Crafter<'a> {
         if can_disguise {
             let mut avoid2 = avoid;
             avoid2.insert(reg);
-            if let Ok(t) = self.pick_scratch(avoid2, 1) {
-                let t = t[0];
+            if let Ok([t]) = self.pick_scratch(avoid2) {
                 let pool = self.catalog.gadgets();
                 let cover = pool[self.rng.gen_range(0..pool.len())].addr;
                 // reg = cover; t = cover - value; reg -= t  → reg = value.
@@ -246,18 +246,23 @@ impl<'a> Crafter<'a> {
         }
     }
 
-    fn pick_scratch(&mut self, protected: RegSet, count: usize) -> Result<Vec<Reg>, RewriteError> {
+    /// Takes the first `N` scratch registers outside `protected` and the
+    /// ones already in use, in [`SCRATCH_ORDER`], and marks them in use.
+    fn pick_scratch<const N: usize>(
+        &mut self,
+        protected: RegSet,
+    ) -> Result<[Reg; N], RewriteError> {
         let blocked = protected.union(self.scratch_in_use);
-        let picked: Vec<Reg> =
-            SCRATCH_ORDER.iter().copied().filter(|r| !blocked.contains(*r)).take(count).collect();
-        if picked.len() < count {
-            Err(RewriteError::RegisterPressure { addr: self.cfg.entry_addr })
-        } else {
-            for r in &picked {
-                self.scratch_in_use.insert(*r);
-            }
-            Ok(picked)
+        let mut free = SCRATCH_ORDER.iter().copied().filter(|r| !blocked.contains(*r));
+        let mut picked = [Reg::Rax; N];
+        for slot in &mut picked {
+            *slot =
+                free.next().ok_or(RewriteError::RegisterPressure { addr: self.cfg.entry_addr })?;
         }
+        for r in picked {
+            self.scratch_in_use.insert(r);
+        }
+        Ok(picked)
     }
 
     fn release_scratch(&mut self) {
@@ -313,7 +318,7 @@ impl<'a> Crafter<'a> {
             }
             let mut avoid2 = avoid;
             avoid2.insert(dest);
-            let t = self.pick_scratch(avoid2, 1)?[0];
+            let [t] = self.pick_scratch(avoid2)?;
             self.gadget(GadgetOp::MovRR(t, index), avoid2, self.preserve_flags);
             if mem.scale > 1 {
                 let shift = mem.scale.trailing_zeros() as u8;
@@ -324,7 +329,7 @@ impl<'a> Crafter<'a> {
         if disp_pending {
             let mut avoid2 = avoid;
             avoid2.insert(dest);
-            let t = self.pick_scratch(avoid2, 1)?[0];
+            let [t] = self.pick_scratch(avoid2)?;
             self.pop_value(t, mem.disp as i64 as u64, avoid2);
             self.gadget(GadgetOp::Alu(AluOp::Add, dest, t), avoid2, self.preserve_flags);
         }
@@ -334,7 +339,8 @@ impl<'a> Crafter<'a> {
     // -------------------------------------------------------------- blocks
 
     fn emit_block(&mut self, pos: usize) -> Result<(), RewriteError> {
-        let block = &self.cfg.blocks[pos];
+        let cfg = self.cfg;
+        let block = &cfg.blocks[pos];
         let id = block.id;
         self.chain.items.push(ChainItem::BlockStart(id));
 
@@ -346,9 +352,8 @@ impl<'a> Crafter<'a> {
             }
         }
 
-        let insts = block.insts.clone();
-        let n = insts.len();
-        for (i, (addr, inst)) in insts.iter().enumerate() {
+        let n = block.insts.len();
+        for (i, (addr, inst)) in block.insts.iter().enumerate() {
             let is_term = inst.is_terminator();
             if is_term && i == n - 1 && !matches!(inst, Inst::Ret) {
                 // Jmp / Jcc / JmpMem terminators are handled below with the
@@ -388,10 +393,9 @@ impl<'a> Crafter<'a> {
         }
 
         // Terminator.
-        let next_block = self.cfg.blocks.get(pos + 1).map(|b| b.id);
-        let term = self.cfg.blocks[pos].term.clone();
+        let next_block = cfg.blocks.get(pos + 1).map(|b| b.id);
         let live_out = self.liveness.live_out[id.0];
-        match term {
+        match block.term {
             Terminator::Return => { /* handled by the Ret epilogue lowering */ }
             Terminator::FallThrough(target) => {
                 if Some(target) != next_block {
@@ -402,10 +406,7 @@ impl<'a> Crafter<'a> {
                 self.emit_branch(None, target, live_out, id)?;
             }
             Terminator::Branch { taken, fallthrough } => {
-                let last = self.cfg.blocks[pos]
-                    .insts
-                    .last()
-                    .expect("branch block has a terminator instruction");
+                let last = block.insts.last().expect("branch block has a terminator instruction");
                 let Inst::Jcc(cond, _) = last.1 else {
                     return Err(RewriteError::UnsupportedInstruction {
                         addr: last.0,
@@ -424,11 +425,8 @@ impl<'a> Crafter<'a> {
                     self.emit_branch(None, fallthrough, live_out, id)?;
                 }
             }
-            Terminator::Switch { targets, .. } => {
-                let last = self.cfg.blocks[pos]
-                    .insts
-                    .last()
-                    .expect("switch block has a terminator instruction");
+            Terminator::Switch { ref targets, .. } => {
+                let last = block.insts.last().expect("switch block has a terminator instruction");
                 let Inst::JmpMem(mem) = last.1 else {
                     return Err(RewriteError::UnsupportedInstruction {
                         addr: last.0,
@@ -436,7 +434,7 @@ impl<'a> Crafter<'a> {
                     });
                 };
                 self.preserve_flags = false;
-                self.emit_switch(last.0, mem, &targets, live_out)?;
+                self.emit_switch(last.0, mem, targets, live_out)?;
                 self.stats.program_points += 1;
             }
         }
@@ -463,18 +461,19 @@ impl<'a> Crafter<'a> {
         let branch_index = self.branch_counter;
         self.branch_counter += 1;
 
-        match (&self.p1, cond) {
+        // Copied out: the emission calls below need `self` mutably.
+        let p1 = self.p1.as_ref().map(|p1| (p1.config, p1.array_addr, p1.share_for(branch_index)));
+        match (p1, cond) {
             (None, None) => {
                 // pop t, δ; add rsp, t
-                let t = self.pick_scratch(live_out, 1)?[0];
+                let [t] = self.pick_scratch(live_out)?;
                 let delta_idx = self.pop_delta(t, DeltaTarget::Block(target), 0, live_out);
                 let anchor = self.gadget(GadgetOp::AddRsp(t), live_out, self.preserve_flags);
                 self.set_anchor(delta_idx, anchor);
             }
             (None, Some(cc)) => {
                 // pop t1, δ; pop t2, 0; cmov{ncc} t1, t2; add rsp, t1
-                let ts = self.pick_scratch(live_out, 2)?;
-                let (t1, t2) = (ts[0], ts[1]);
+                let [t1, t2] = self.pick_scratch(live_out)?;
                 let delta_idx = self.pop_delta(t1, DeltaTarget::Block(target), 0, live_out);
                 self.gadget(GadgetOp::Pop(t2), live_out, true);
                 self.chain.items.push(ChainItem::Imm(0));
@@ -482,15 +481,13 @@ impl<'a> Crafter<'a> {
                 let anchor = self.gadget(GadgetOp::AddRsp(t1), live_out, true);
                 self.set_anchor(delta_idx, anchor);
             }
-            (Some(_), maybe_cc) => {
-                let p1 = self.p1.clone().expect("checked");
-                let (ordinal, share) = p1.share_for(branch_index);
-                let needed = if maybe_cc.is_some() { 3 } else { 2 };
-                let ts = self.pick_scratch(live_out, needed)?;
+            (Some((p1_config, array_addr, (ordinal, share))), maybe_cc) => {
                 let (t_cond, t1, t2) = if maybe_cc.is_some() {
-                    (Some(ts[0]), ts[1], ts[2])
+                    let [tc, t1, t2] = self.pick_scratch(live_out)?;
+                    (Some(tc), t1, t2)
                 } else {
-                    (None, ts[0], ts[1])
+                    let [t1, t2] = self.pick_scratch(live_out)?;
+                    (None, t1, t2)
                 };
                 // Consume the flags first so the P1 arithmetic below may
                 // pollute them freely.
@@ -499,21 +496,22 @@ impl<'a> Crafter<'a> {
                 }
                 self.preserve_flags = false;
                 // f(x): opaquely combine input-derived live registers.
-                let derived_live: Vec<Reg> = self
+                let mut derived = self
                     .derived
                     .at_entry
                     .get(_from.0)
                     .copied()
                     .unwrap_or(RegSet::EMPTY)
-                    .intersection(live_out)
-                    .iter()
-                    .filter(|r| *r != t1 && *r != t2 && Some(*r) != t_cond)
-                    .collect();
-                match derived_live.first() {
+                    .intersection(live_out);
+                for t in [Some(t1), Some(t2), t_cond].into_iter().flatten() {
+                    derived.remove(t);
+                }
+                let mut derived_live = derived.iter();
+                match derived_live.next() {
                     Some(r) => {
-                        self.gadget(GadgetOp::MovRR(t1, *r), live_out, false);
-                        if let Some(r2) = derived_live.get(1) {
-                            self.gadget(GadgetOp::Alu(AluOp::Xor, t1, *r2), live_out, false);
+                        self.gadget(GadgetOp::MovRR(t1, r), live_out, false);
+                        if let Some(r2) = derived_live.next() {
+                            self.gadget(GadgetOp::Alu(AluOp::Xor, t1, r2), live_out, false);
                         }
                     }
                     None => {
@@ -522,16 +520,16 @@ impl<'a> Crafter<'a> {
                     }
                 }
                 // t1 = f(x) mod p  → period index.
-                self.pop_value(t2, p1.config.p as u64, live_out);
+                self.pop_value(t2, p1_config.p as u64, live_out);
                 self.gadget(GadgetOp::Rem(t1, t2), live_out, false);
                 // t1 = A + (f(x)*s + ordinal) * 8
-                self.pop_value(t2, (p1.config.s * 8) as u64, live_out);
+                self.pop_value(t2, (p1_config.s * 8) as u64, live_out);
                 self.gadget(GadgetOp::Mul(t1, t2), live_out, false);
-                self.pop_value(t2, p1.array_addr + (ordinal as u64) * 8, live_out);
+                self.pop_value(t2, array_addr + (ordinal as u64) * 8, live_out);
                 self.gadget(GadgetOp::Alu(AluOp::Add, t1, t2), live_out, false);
                 self.gadget(GadgetOp::Load(t1, t1), live_out, false);
                 // t1 = a  (the hidden share)
-                self.pop_value(t2, p1.config.m, live_out);
+                self.pop_value(t2, p1_config.m, live_out);
                 self.gadget(GadgetOp::Rem(t1, t2), live_out, false);
                 // t2 = δ - a ; t1 = δ
                 self.gadget(GadgetOp::Pop(t2), live_out, false);
@@ -565,8 +563,7 @@ impl<'a> Crafter<'a> {
     ) -> Result<(), RewriteError> {
         self.release_scratch();
         self.stats.branch_sites += 1;
-        let ts = self.pick_scratch(live_out.union(mem.regs()), 1)?;
-        let t1 = ts[0];
+        let [t1] = self.pick_scratch(live_out.union(mem.regs()))?;
         // t1 = address of the jump-table slot = table + index*8 (+base).
         self.emit_address(mem, t1, live_out.union(mem.regs()), addr)?;
         // t1 = original case address (read from the table in .data).
@@ -603,8 +600,7 @@ impl<'a> Crafter<'a> {
                 if let P2Operand::Reg(r) = rhs {
                     avoid.insert(r);
                 }
-                let ts = self.pick_scratch(avoid, 2)?;
-                let (t1, t2) = (ts[0], ts[1]);
+                let [t1, t2] = self.pick_scratch(avoid)?;
                 // t1 = lhs - rhs; t1 *= x; rsp += t1 (zero on the honest path).
                 self.gadget(GadgetOp::MovRR(t1, lhs), avoid, false);
                 match rhs {
@@ -626,8 +622,7 @@ impl<'a> Crafter<'a> {
                 if let P2Operand::Reg(r) = rhs {
                     avoid.insert(r);
                 }
-                let ts = self.pick_scratch(avoid, 3)?;
-                let (t1, t2, t3) = (ts[0], ts[1], ts[2]);
+                let [t1, t2, t3] = self.pick_scratch(avoid)?;
                 // t1 = lhs - rhs
                 self.gadget(GadgetOp::MovRR(t1, lhs), avoid, false);
                 match rhs {
@@ -674,27 +669,25 @@ impl<'a> Crafter<'a> {
             P3Variant::ArrayUpdate => 1,
             P3Variant::Mixed => self.rng.gen_range(0..2),
         };
-        if variant == 1 && self.p1.is_some() {
+        let p1 = self.p1.as_ref().map(|p1| (p1.config.m, p1.array_addr, p1.cells.len()));
+        if let (1, Some((m, array_addr, cells))) = (variant, p1) {
             // Opaque array update: A[cell] += m * (sym & 7); the congruence
             // invariant every later branch relies on is preserved.
-            let p1 = self.p1.clone().expect("checked");
-            let Ok(ts) = self.pick_scratch(avoid, 2) else { return Ok(false) };
-            let (t1, t2) = (ts[0], ts[1]);
+            let Ok([t1, t2]) = self.pick_scratch(avoid) else { return Ok(false) };
             self.gadget(GadgetOp::MovRR(t1, sym), avoid, false);
             self.pop_value(t2, 7, avoid);
             self.gadget(GadgetOp::Alu(AluOp::And, t1, t2), avoid, false);
-            self.pop_value(t2, p1.config.m, avoid);
+            self.pop_value(t2, m, avoid);
             self.gadget(GadgetOp::Mul(t1, t2), avoid, false);
-            let cell = self.rng.gen_range(0..p1.cells.len());
-            self.pop_value(t2, p1.array_addr + (cell as u64) * 8, avoid);
+            let cell = self.rng.gen_range(0..cells);
+            self.pop_value(t2, array_addr + (cell as u64) * 8, avoid);
             self.gadget(GadgetOp::AluStore(AluOp::Add, t2, t1), avoid, false);
             return Ok(true);
         }
         // FOR variant: dead = 0; t1 = (sym & 0xff) + 1;
         // do { dead += 1; t1 -= 1 } while t1 != 0;
         // dead -= 1; sym |= dead   (sym is unchanged, the loop is opaque).
-        let Ok(ts) = self.pick_scratch(avoid, 4) else { return Ok(false) };
-        let (dead, t1, t2, t3) = (ts[0], ts[1], ts[2], ts[3]);
+        let Ok([dead, t1, t2, t3]) = self.pick_scratch(avoid) else { return Ok(false) };
         self.pop_value(dead, 0, avoid);
         self.gadget(GadgetOp::MovRR(t1, sym), avoid, false);
         self.pop_value(t2, 0xff, avoid);
@@ -728,7 +721,7 @@ impl<'a> Crafter<'a> {
     /// few bytes of padding that look like gadget-address material.
     fn emit_unaligned_skip(&mut self, avoid: RegSet) -> Result<(), RewriteError> {
         self.release_scratch();
-        let t = self.pick_scratch(avoid, 1)?[0];
+        let [t] = self.pick_scratch(avoid)?;
         let eta: u64 = self.rng.gen_range(1..8u64) + 8 * self.rng.gen_range(0..2u64);
         self.gadget(GadgetOp::Pop(t), avoid, false);
         self.chain.items.push(ChainItem::Imm(eta));
@@ -770,10 +763,9 @@ impl<'a> Crafter<'a> {
             }
             RopletKind::DirectStackAccess => match *inst {
                 Inst::Push(r) => {
-                    let ts = self
-                        .pick_scratch(protected, 3)
+                    let [t1, t2, t3] = self
+                        .pick_scratch(protected)
                         .map_err(|_| RewriteError::RegisterPressure { addr })?;
-                    let (t1, t2, t3) = (ts[0], ts[1], ts[2]);
                     self.emit_other_rsp_ptr(t1, protected);
                     self.gadget(GadgetOp::Load(t2, t1), protected, pf);
                     self.pop_value(t3, 8, protected);
@@ -782,10 +774,9 @@ impl<'a> Crafter<'a> {
                     self.gadget(GadgetOp::Store(t2, r), protected, pf);
                 }
                 Inst::PushI(v) => {
-                    let ts = self
-                        .pick_scratch(protected, 3)
+                    let [t1, t2, t3] = self
+                        .pick_scratch(protected)
                         .map_err(|_| RewriteError::RegisterPressure { addr })?;
-                    let (t1, t2, t3) = (ts[0], ts[1], ts[2]);
                     self.emit_other_rsp_ptr(t1, protected);
                     self.gadget(GadgetOp::Load(t2, t1), protected, pf);
                     self.pop_value(t3, 8, protected);
@@ -798,10 +789,9 @@ impl<'a> Crafter<'a> {
                     if r == Reg::Rsp {
                         return Err(unsupported(inst));
                     }
-                    let ts = self
-                        .pick_scratch(protected, 3)
+                    let [t1, t2, t3] = self
+                        .pick_scratch(protected)
                         .map_err(|_| RewriteError::RegisterPressure { addr })?;
-                    let (t1, t2, t3) = (ts[0], ts[1], ts[2]);
                     self.emit_other_rsp_ptr(t1, protected);
                     self.gadget(GadgetOp::Load(t2, t1), protected, pf);
                     self.gadget(GadgetOp::Load(r, t2), protected, pf);
@@ -814,10 +804,9 @@ impl<'a> Crafter<'a> {
             RopletKind::StackPtrRef => self.lower_stack_ptr_ref(addr, inst, protected, pf)?,
             RopletKind::Epilogue => match inst {
                 Inst::Leave => {
-                    let ts = self
-                        .pick_scratch(protected, 3)
+                    let [t1, t2, t3] = self
+                        .pick_scratch(protected)
                         .map_err(|_| RewriteError::RegisterPressure { addr })?;
-                    let (t1, t2, t3) = (ts[0], ts[1], ts[2]);
                     // other_rsp = rbp; rbp = *other_rsp; other_rsp += 8.
                     self.emit_other_rsp_ptr(t1, protected);
                     self.gadget(GadgetOp::MovRR(t2, Reg::Rbp), protected, pf);
@@ -868,7 +857,7 @@ impl<'a> Crafter<'a> {
                 if pf && !inst.writes_flags() {
                     return Err(RewriteError::FlagsLiveAcrossLowering { addr });
                 }
-                let t = self.pick_scratch(protected, 1)?[0];
+                let [t] = self.pick_scratch(protected)?;
                 self.pop_value(t, v as i64 as u64, protected);
                 self.gadget(GadgetOp::Alu(op, d, t), protected, pf);
             }
@@ -882,7 +871,7 @@ impl<'a> Crafter<'a> {
                 self.gadget(GadgetOp::Mul(d, s), protected, pf);
             }
             Inst::MulI(d, s, v) => {
-                let t = self.pick_scratch(protected, 1)?[0];
+                let [t] = self.pick_scratch(protected)?;
                 if d != s {
                     self.gadget(GadgetOp::MovRR(d, s), protected, pf);
                 }
@@ -914,7 +903,7 @@ impl<'a> Crafter<'a> {
                 self.gadget(GadgetOp::Cmp(a, b), protected, pf);
             }
             Inst::CmpI(a, v) => {
-                let t = self.pick_scratch(protected, 1)?[0];
+                let [t] = self.pick_scratch(protected)?;
                 self.pop_value(t, v as i64 as u64, protected);
                 self.gadget(GadgetOp::Cmp(a, t), protected, pf);
             }
@@ -922,7 +911,7 @@ impl<'a> Crafter<'a> {
                 self.gadget(GadgetOp::Test(a, b), protected, pf);
             }
             Inst::TestI(a, v) => {
-                let t = self.pick_scratch(protected, 1)?[0];
+                let [t] = self.pick_scratch(protected)?;
                 self.pop_value(t, v as i64 as u64, protected);
                 self.gadget(GadgetOp::Test(a, t), protected, pf);
             }
@@ -936,7 +925,8 @@ impl<'a> Crafter<'a> {
                 let addr_reg = if !m.regs().contains(d) && d != Reg::Rsp {
                     d
                 } else {
-                    self.pick_scratch(protected, 1)?[0]
+                    let [t] = self.pick_scratch(protected)?;
+                    t
                 };
                 self.emit_address(m, addr_reg, protected, addr)?;
                 let op = match inst {
@@ -949,7 +939,7 @@ impl<'a> Crafter<'a> {
             Inst::Store(m, s) | Inst::StoreB(m, s) => {
                 let mut avoid = protected;
                 avoid.insert(s);
-                let t = self.pick_scratch(avoid, 1)?[0];
+                let [t] = self.pick_scratch(avoid)?;
                 self.emit_address(m, t, avoid, addr)?;
                 let op = match inst {
                     Inst::Store(..) => GadgetOp::Store(t, s),
@@ -958,27 +948,25 @@ impl<'a> Crafter<'a> {
                 self.gadget(op, protected, pf);
             }
             Inst::StoreI(m, v) => {
-                let ts = self.pick_scratch(protected, 2)?;
-                let (t1, t2) = (ts[0], ts[1]);
+                let [t1, t2] = self.pick_scratch(protected)?;
                 self.emit_address(m, t1, protected, addr)?;
                 self.pop_value(t2, v as i64 as u64, protected);
                 self.gadget(GadgetOp::Store(t1, t2), protected, pf);
             }
             Inst::AluM(op, d, m) => {
-                let t = self.pick_scratch(protected, 1)?[0];
+                let [t] = self.pick_scratch(protected)?;
                 self.emit_address(m, t, protected, addr)?;
                 self.gadget(GadgetOp::AluLoad(op, d, t), protected, pf);
             }
             Inst::AluStore(op, m, s) => {
                 let mut avoid = protected;
                 avoid.insert(s);
-                let t = self.pick_scratch(avoid, 1)?[0];
+                let [t] = self.pick_scratch(avoid)?;
                 self.emit_address(m, t, avoid, addr)?;
                 self.gadget(GadgetOp::AluStore(op, t, s), protected, pf);
             }
             Inst::CmpMI(m, v) => {
-                let ts = self.pick_scratch(protected, 2)?;
-                let (t1, t2) = (ts[0], ts[1]);
+                let [t1, t2] = self.pick_scratch(protected)?;
                 self.emit_address(m, t1, protected, addr)?;
                 self.gadget(GadgetOp::Load(t1, t1), protected, pf);
                 self.pop_value(t2, v as i64 as u64, protected);
@@ -988,13 +976,13 @@ impl<'a> Crafter<'a> {
                 if !m.regs().contains(d) {
                     self.emit_address(m, d, protected, addr)?;
                 } else {
-                    let t = self.pick_scratch(protected, 1)?[0];
+                    let [t] = self.pick_scratch(protected)?;
                     self.emit_address(m, t, protected, addr)?;
                     self.gadget(GadgetOp::MovRR(d, t), protected, pf);
                 }
             }
             Inst::XchgRR(a, b) => {
-                let t = self.pick_scratch(protected, 1)?[0];
+                let [t] = self.pick_scratch(protected)?;
                 self.gadget(GadgetOp::MovRR(t, a), protected, pf);
                 self.gadget(GadgetOp::MovRR(a, b), protected, pf);
                 self.gadget(GadgetOp::MovRR(b, t), protected, pf);
@@ -1022,14 +1010,13 @@ impl<'a> Crafter<'a> {
             Inst::MovRR(Reg::Rsp, s) => {
                 let mut avoid = protected;
                 avoid.insert(s);
-                let t = self.pick_scratch(avoid, 1)?[0];
+                let [t] = self.pick_scratch(avoid)?;
                 self.emit_other_rsp_ptr(t, avoid);
                 self.gadget(GadgetOp::Store(t, s), protected, pf);
             }
             // add/sub rsp, imm → other_rsp ± imm
             Inst::AluI(op @ (AluOp::Add | AluOp::Sub), Reg::Rsp, v) => {
-                let ts = self.pick_scratch(protected, 2)?;
-                let (t1, t2) = (ts[0], ts[1]);
+                let [t1, t2] = self.pick_scratch(protected)?;
                 self.emit_other_rsp_ptr(t1, protected);
                 self.pop_value(t2, v as i64 as u64, protected);
                 self.gadget(GadgetOp::AluStore(op, t1, t2), protected, pf);
@@ -1038,7 +1025,7 @@ impl<'a> Crafter<'a> {
             Inst::Alu(op @ (AluOp::Add | AluOp::Sub), Reg::Rsp, s) => {
                 let mut avoid = protected;
                 avoid.insert(s);
-                let t1 = self.pick_scratch(avoid, 1)?[0];
+                let [t1] = self.pick_scratch(avoid)?;
                 self.emit_other_rsp_ptr(t1, avoid);
                 self.gadget(GadgetOp::AluStore(op, t1, s), protected, pf);
             }
@@ -1048,7 +1035,7 @@ impl<'a> Crafter<'a> {
                 if m.disp != 0 {
                     let mut avoid = protected;
                     avoid.insert(d);
-                    let t = self.pick_scratch(avoid, 1)?[0];
+                    let [t] = self.pick_scratch(avoid)?;
                     self.pop_value(t, m.disp as i64 as u64, avoid);
                     self.gadget(GadgetOp::Alu(AluOp::Add, d, t), protected, pf);
                 }
@@ -1077,8 +1064,7 @@ impl<'a> Crafter<'a> {
     /// return to the native caller with the original return address.
     fn lower_ret(&mut self, live_after: RegSet) -> Result<(), RewriteError> {
         let avoid = live_after;
-        let ts = self.pick_scratch(avoid, 2)?;
-        let (t1, t2) = (ts[0], ts[1]);
+        let [t1, t2] = self.pick_scratch(avoid)?;
         self.pop_value(t1, self.runtime.ss_addr, avoid);
         self.pop_value(t2, 8, avoid);
         self.gadget(GadgetOp::AluStore(AluOp::Sub, t1, t2), avoid, false);
@@ -1099,8 +1085,7 @@ impl<'a> Crafter<'a> {
         // the call anyway, so they are fair game as scratch.
         let mut avoid = RegSet::from_regs(Reg::ARGS);
         avoid = avoid.union(live_after.difference(RegSet::from_regs(Reg::CALLER_SAVED)));
-        let ts = self.pick_scratch(avoid, 3)?;
-        let (t1, t2, t3) = (ts[0], ts[1], ts[2]);
+        let [t1, t2, t3] = self.pick_scratch(avoid)?;
 
         // Step A: t1 = &other_rsp.
         self.pop_value(t1, self.runtime.ss_addr, avoid);

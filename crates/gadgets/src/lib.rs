@@ -26,14 +26,13 @@
 //! let mut image = builder.build()?;
 //! let mut catalog = GadgetCatalog::from_image(&image, CatalogConfig::default());
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-//! let gadget = catalog.request(
-//!     &mut image,
-//!     GadgetOp::Pop(Reg::Rdi),
-//!     RegSet::EMPTY,
-//!     false,
-//!     &mut rng,
-//! );
-//! assert!(image.in_text(gadget.addr));
+//! // `request` lends the gadget out of the pool: copy what you need before
+//! // using the catalog again.
+//! let addr = catalog
+//!     .request(&mut image, GadgetOp::Pop(Reg::Rdi), RegSet::EMPTY, false, &mut rng)
+//!     .addr;
+//! assert!(image.in_text(addr));
+//! assert_eq!(catalog.stats().total_used, 1);
 //! # Ok(())
 //! # }
 //! ```

@@ -8,7 +8,7 @@
 //!
 //! * [`machine`] — the RM64 machine model, encoder, and emulator;
 //! * [`gadgets`] — gadget scanning, synthesis, and the diversified catalog;
-//! * [`analysis`] — CFG / liveness / dominator analyses;
+//! * [`analysis`] — CFG / liveness / input-derived dataflow analyses;
 //! * [`core`] — the ROP rewriter, strengthening predicates, runtime, and
 //!   the composable obfuscation pipeline (`raindrop::pipeline`);
 //! * [`synth`] — mini-C workload synthesis and RM64 codegen;
