@@ -42,11 +42,6 @@ impl FuncCode {
             None => self.addr,
         }
     }
-
-    /// The instruction starting at `addr`, if any.
-    pub fn inst_at(&self, addr: u64) -> Option<&Inst> {
-        self.insts.iter().find(|(a, _)| *a == addr).map(|(_, i)| i)
-    }
 }
 
 /// Errors produced during CFG reconstruction.
@@ -191,11 +186,6 @@ impl Cfg {
     /// Block by id.
     pub fn block(&self, id: BlockId) -> &BasicBlock {
         &self.blocks[id.0]
-    }
-
-    /// The block starting at `addr`, if any.
-    pub fn block_at(&self, addr: u64) -> Option<&BasicBlock> {
-        self.blocks.iter().find(|b| b.start == addr)
     }
 
     /// Number of blocks.

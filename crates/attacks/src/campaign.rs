@@ -55,7 +55,7 @@
 use crate::concolic::{DseAttack, DseAudit, DseExplorer, DseFrontier, DseOutcome};
 use crate::fleet::{workers_from_env, DseJob};
 use raindrop::stable_hash_bytes;
-use raindrop_sched::{panic_message, JobCtl, JobHandle, Scheduler};
+use raindrop_sched::{panic_message, JobHandle, Scheduler};
 use raindrop_server::codec::encode_image;
 use raindrop_server::recfile::{self, FramedReader};
 use serde::{Deserialize, Serialize};
@@ -481,7 +481,7 @@ impl Campaign {
             n => n,
         };
         let mut slots = self.seed_slots(jobs);
-        let sched: Scheduler<()> = Scheduler::new(workers);
+        let sched: Scheduler<(), ()> = Scheduler::new(workers);
         let (done_tx, done_rx) = mpsc::channel::<SliceDone>();
         for slot in slots.iter_mut() {
             if slot.resolved.is_none() {
@@ -576,7 +576,7 @@ impl Campaign {
     /// panic and reports either way on `done`.
     fn submit_slice(
         &mut self,
-        sched: &Scheduler<()>,
+        sched: &Scheduler<(), ()>,
         done: &mpsc::Sender<SliceDone>,
         slot: &mut JobSlot,
     ) {
@@ -587,7 +587,7 @@ impl Campaign {
         let panic_fault = std::mem::take(&mut slot.panic_armed);
         let done = done.clone();
         self.stats.slices_run += 1;
-        slot.handle = Some(sched.submit(move |_: &mut (), _: &JobCtl| {
+        slot.handle = Some(sched.submit(move |_: &mut ()| {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 run_slice(&job, from.as_ref(), slice, panic_fault)
             }))
@@ -601,7 +601,7 @@ impl Campaign {
     /// exhausted. Returns whether a kill fired on the fail checkpoint.
     fn fail_or_retry(
         &mut self,
-        sched: &Scheduler<()>,
+        sched: &Scheduler<(), ()>,
         done: &mpsc::Sender<SliceDone>,
         slot: &mut JobSlot,
         reason: String,

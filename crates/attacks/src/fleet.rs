@@ -5,15 +5,15 @@
 //! benchmark's `attack` workload) attack many corpus functions
 //! independently: each [`DseJob`] is one attack, and a batch of them runs
 //! through [`raindrop_sched::scoped_map`] (`|_, job| job.run()`) on
-//! [`workers_from_env`] threads — the same work-stealing primitives that
-//! drive the protection server. Each worker owns its emulators outright —
-//! the fork-point engine inside every [`DseAttack`] keeps one warm emulator
-//! per job and revives it between paths with [`Snapshot`] restores, and
-//! each attack owns its hash-consed expression arena and solver outright
-//! (`ExprId`s never cross a job boundary; the solve cache's structural-hash
-//! keys are arena-independent but private to the attack), so no state is
-//! shared and no locking happens on the hot path; the queue is touched once
-//! per job.
+//! [`workers_from_env`] threads; each worker claims the next unclaimed job,
+//! so one slow attack never idles the rest. Each worker owns its emulators
+//! outright — the fork-point engine inside every [`DseAttack`] keeps one
+//! warm emulator per job and revives it between paths with [`Snapshot`]
+//! restores, and each attack owns its hash-consed expression arena and
+//! solver outright (`ExprId`s never cross a job boundary; the solve
+//! cache's structural-hash keys are arena-independent but private to the
+//! attack), so no state is shared and no locking happens on the hot path;
+//! the queue is touched once per job.
 //!
 //! Jobs are deterministic and independent, so under *work-bounded*
 //! budgets (instructions, paths, solver calls) the result of a batch does

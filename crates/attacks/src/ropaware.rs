@@ -13,7 +13,7 @@
 //!   unaligned layout) buries the true positives in noise.
 
 use raindrop_gadgets::speculative_decode;
-use raindrop_machine::{Cond, EmuError, Emulator, Image, Inst, Reg, RunExit};
+use raindrop_machine::{EmuError, Emulator, Image, Inst, Reg, RunExit};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -209,12 +209,6 @@ pub fn gadget_guess(image: &Image, chain_sym: &str) -> GuessReport {
 /// Convenience: chain symbol name produced by the rewriter for a function.
 pub fn chain_symbol(func: &str) -> String {
     format!("__rop_chain_{func}")
-}
-
-/// A condition-flag flip helper exported for the efficacy experiments:
-/// whether flipping `cond` changes the outcome for the given flag state.
-pub fn flip_changes_outcome(cond: Cond, flags: raindrop_machine::Flags) -> bool {
-    cond.eval(flags) != cond.negate().eval(flags)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 use raindrop::pipeline::{ObfConfig, VerifyPolicy};
-use raindrop::{FailureClass, RopConfig};
+use raindrop::RopConfig;
 use raindrop_bench::*;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -46,17 +46,8 @@ fn main() {
     let report = rop.first().expect("one rop pass");
 
     let mut failures: BTreeMap<String, usize> = BTreeMap::new();
-    for (_, reason) in &report.failures {
-        let class = if reason.contains("pivot stub") {
-            format!("{:?}", FailureClass::TooShort)
-        } else if reason.contains("register pressure") {
-            format!("{:?}", FailureClass::RegisterPressure)
-        } else if reason.contains("unsupported") {
-            format!("{:?}", FailureClass::UnsupportedInstruction)
-        } else {
-            format!("{:?}", FailureClass::Other)
-        };
-        *failures.entry(class).or_default() += 1;
+    for (_, error) in &report.failures {
+        *failures.entry(format!("{:?}", error.failure_class())).or_default() += 1;
     }
 
     let verified_functions = run.report.verify.iter().filter(|v| v.all_match()).count();

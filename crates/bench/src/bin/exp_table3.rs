@@ -2,8 +2,8 @@
 //! total gadgets A, unique gadgets B, gadgets per point C) for each ROPk,
 //! plus the cross-layer compositions (`ROPk-over-1VM`, `1VM-over-ROPk`)
 //! the pipeline API makes expressible. The per-(benchmark, config) runs are
-//! independent, so they run sharded over a work-stealing batch sized like
-//! the DSE batches ([`workers_from_env`]).
+//! independent, so they run as one [`raindrop_sched::scoped_map`] batch
+//! sized like the DSE batches ([`workers_from_env`]).
 //!
 //! `--smoke` runs one benchmark under `ROP0.25` and the `ROP0.25-over-1VM`
 //! cross-layer row (the CI composition smoke); `--full` widens the ROPk

@@ -92,7 +92,7 @@ pub use lint::{lint_function, lint_program, RewriteLint};
 pub use materialize::{MaterializeCtx, Materialized};
 pub use pipeline::{
     AuditEntry, ObfConfig, ObfReport, PassReport, PassSpec, Pipeline, PipelineError, PipelineRun,
-    PipelineWarm, VerifyPolicy, VmCode,
+    PipelineWarm, TargetError, VerifyPolicy, VmCode,
 };
 pub use predicates::{P1Instance, P2Adjust, P2Operand, P3Policy};
 pub use rewriter::{ImageReport, RewriteReport, Rewriter};

@@ -14,6 +14,28 @@
 //! mid-rewrite failure into a typed, located diagnostic the pipeline can
 //! surface next to its other reports (it runs automatically under
 //! [`VerifyPolicy::Static`](crate::pipeline::VerifyPolicy::Static)).
+//!
+//! ## Why the callee's arity is not a drop-in fix
+//!
+//! Modelling each call with its callee's real arity removes the blind
+//! spot, but it also moves P3 (the opaque loop predicate) and so changes
+//! every protected artifact:
+//!
+//! * `emit_p3` in the crafter takes its symbolic register from
+//!   `input_derived ∩ live`;
+//! * [`Rewriter::rewrite_function`](crate::Rewriter::rewrite_function)
+//!   seeds `input_derived` with all six argument registers, whatever the
+//!   function's own arity;
+//! * so today's conservative call model keeps argument registers the
+//!   function never received live, and P3 lands on them.
+//!
+//! With callee arity passed into liveness and call lowering, the
+//! benchmark's 1,080 protect requests all rewrote (864 reference checks
+//! passing). Over the 1,048 requests that rewrite either way, P3 sites fell
+//! from 3,672 to 1,256 under ROP1.00 and from 209,556 to 4,980 under
+//! ROP1.00-over-1VM, whose size ratio fell from 78.7 to 47.2. Arity is
+//! therefore a fidelity change to Table III's chain statistics, not a
+//! speed-up, and has to be reported as one.
 
 use raindrop_synth::minic::{Expr, Function, Program, Stmt};
 use serde::{Deserialize, Serialize};

@@ -61,6 +61,7 @@
 //! ```
 
 use crate::config::{P3Variant, RopConfig};
+use crate::error::RewriteError;
 use crate::lint::{lint_program, RewriteLint};
 use crate::materialize::MaterializeCtx;
 use crate::rewriter::{ImageReport, Rewriter};
@@ -70,7 +71,7 @@ use crate::verify::{
     Verdict,
 };
 use raindrop_machine::{AsmError, Image};
-use raindrop_obfvm::{ImplicitAt, VmConfig};
+use raindrop_obfvm::{ImplicitAt, VmConfig, VmError};
 use raindrop_synth::codegen;
 use raindrop_synth::minic::{Expr, Function, Program, Stmt};
 use serde::Serialize;
@@ -101,7 +102,7 @@ pub enum PipelineError {
         /// The public name of the function that failed.
         function: String,
         /// The recorded failure reason.
-        reason: String,
+        reason: TargetError,
     },
 }
 
@@ -124,6 +125,27 @@ impl fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
+
+/// Why one target function failed in a pipeline pass (collected in
+/// [`ObfReport::failures`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum TargetError {
+    /// The ROP rewriter rejected the function.
+    Rop(RewriteError),
+    /// The VM obfuscator rejected the function.
+    Vm(VmError),
+}
+
+impl fmt::Display for TargetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TargetError::Rop(e) => write!(f, "{e}"),
+            TargetError::Vm(e) => write!(f, "vm obfuscation failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for TargetError {}
 
 /// Reusable scratch state threaded through pipeline runs.
 ///
@@ -253,7 +275,7 @@ pub struct ObfReport {
     pub passes: Vec<PassReport>,
     /// Per-target failures, keyed by *public* target name. Targets listed
     /// here were skipped by later passes and excluded from verification.
-    pub failures: Vec<(String, String)>,
+    pub failures: Vec<(String, TargetError)>,
     /// Differential verification outcomes (empty under
     /// [`VerifyPolicy::None`]).
     pub verify: Vec<VerifyOutcome>,
@@ -653,7 +675,7 @@ fn run_vm(
     config: VmConfig,
     targets: &[String],
     vm_layers: &mut BTreeMap<String, usize>,
-    failures: &mut Vec<(String, String)>,
+    failures: &mut Vec<(String, TargetError)>,
 ) -> PassDetail {
     let mut report = VmReport {
         layers: config.layers,
@@ -680,7 +702,7 @@ fn run_vm(
                 *vm_layers.entry(target.clone()).or_insert(0) += config.layers;
                 report.functions.push((target.clone(), applied.bytecode_lens));
             }
-            Err(e) => failures.push((target.clone(), format!("vm obfuscation failed: {e}"))),
+            Err(e) => failures.push((target.clone(), TargetError::Vm(e))),
         }
     }
     PassDetail::Vm(report)
@@ -693,13 +715,13 @@ fn run_rop(
     image: &mut Image,
     config: RopConfig,
     targets: &[String],
-    failures: &mut Vec<(String, String)>,
+    failures: &mut Vec<(String, TargetError)>,
     mat: &mut MaterializeCtx,
 ) -> PassDetail {
     let mut rewriter = Rewriter::new(config).with_mat_ctx(std::mem::take(mat));
     let report = rewriter.rewrite_functions(image, targets.iter().map(String::as_str));
     *mat = rewriter.take_mat_ctx();
-    failures.extend(report.failures.iter().cloned());
+    failures.extend(report.failures.iter().map(|(n, e)| (n.clone(), TargetError::Rop(e.clone()))));
     PassDetail::Rop(report)
 }
 
@@ -752,7 +774,7 @@ impl Pipeline {
 
         let passes = &self.config.passes;
         let mut working = program.clone();
-        let mut failures: Vec<(String, String)> = Vec::new();
+        let mut failures: Vec<(String, TargetError)> = Vec::new();
         let mut vm_layers: BTreeMap<String, usize> = BTreeMap::new();
         // Maps stage names (e.g. split inner functions) back to the public
         // target name for reporting.
@@ -831,7 +853,7 @@ impl Pipeline {
         self.run_image_jobs(&mut image, image_jobs, &public_of, &mut failures, &mut reports, warm);
 
         // Map stage-name failures back to public names.
-        let failures: Vec<(String, String)> = failures
+        let failures: Vec<(String, TargetError)> = failures
             .into_iter()
             .map(|(name, reason)| (public_of.get(&name).cloned().unwrap_or(name), reason))
             .collect();
@@ -904,7 +926,7 @@ impl Pipeline {
         let targets = check_targets(targets, |t| image.function(t).is_ok())?;
 
         let mut working = image.clone();
-        let mut failures: Vec<(String, String)> = Vec::new();
+        let mut failures: Vec<(String, TargetError)> = Vec::new();
         let mut reports: Vec<Option<PassReport>> = Vec::new();
         reports.resize_with(self.config.passes.len(), || None);
         let image_jobs = self
@@ -960,7 +982,7 @@ impl Pipeline {
         image: &mut Image,
         jobs: Vec<ImageJob<'_>>,
         public_of: &BTreeMap<String, String>,
-        failures: &mut Vec<(String, String)>,
+        failures: &mut Vec<(String, TargetError)>,
         reports: &mut [Option<PassReport>],
         warm: &mut PipelineWarm,
     ) {
@@ -1033,7 +1055,7 @@ fn run_verification(
     baseline: &Image,
     obfuscated: &Image,
     targets: &[String],
-    failures: &[(String, String)],
+    failures: &[(String, TargetError)],
     cases: &[TestCase],
 ) -> Vec<VerifyOutcome> {
     targets
@@ -1252,6 +1274,31 @@ mod tests {
         assert_eq!(run.report.failures.len(), 1);
         assert!(run.report.verify.is_empty());
         assert!(run.into_strict().is_err());
+    }
+
+    #[test]
+    fn target_failures_are_typed_and_keep_their_messages() {
+        let tiny = Program::new().with_function(Function {
+            name: "tiny".into(),
+            params: 0,
+            locals: 0,
+            body: vec![Stmt::Return(Expr::c(1))],
+        });
+        let image = codegen::compile(&tiny).unwrap();
+        let run = ObfConfig::new().rop(RopConfig::plain()).pipeline(1).run_image(&image, &["tiny"]);
+        let run = run.unwrap();
+        let TargetError::Rop(RewriteError::FunctionTooShort { size, needed }) =
+            run.report.failures[0].1
+        else {
+            panic!("expected a too-short ROP failure: {:?}", run.report.failures);
+        };
+        let strict = run.into_strict().unwrap_err().to_string();
+        assert_eq!(
+            strict,
+            format!("obfuscating `tiny` failed: function too short for pivot stub ({size} < {needed} bytes)")
+        );
+        let vm = TargetError::Vm(VmError::Unsupported("x".into()));
+        assert_eq!(vm.to_string(), "vm obfuscation failed: unsupported construct: x");
     }
 
     #[test]

@@ -40,12 +40,12 @@ pub struct RewriteReport {
 
 /// Aggregate report over a whole image (deployability experiment §VII-C1 and
 /// Table III statistics).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImageReport {
     /// Successfully rewritten functions.
     pub rewritten: Vec<RewriteReport>,
-    /// Failures with their classified reason.
-    pub failures: Vec<(String, String)>,
+    /// Failures with their typed reason.
+    pub failures: Vec<(String, RewriteError)>,
     /// Gadget-pool statistics after rewriting (columns A/B of Table III).
     pub gadgets: GadgetStats,
 }
@@ -244,7 +244,7 @@ impl Rewriter {
         for name in names {
             match self.rewrite_function(image, name) {
                 Ok(r) => report.rewritten.push(r),
-                Err(e) => report.failures.push((name.to_string(), format!("{e}"))),
+                Err(e) => report.failures.push((name.to_string(), e)),
             }
         }
         report.gadgets = self.gadget_stats();

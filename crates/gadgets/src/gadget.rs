@@ -74,40 +74,6 @@ pub enum GadgetOp {
 }
 
 impl GadgetOp {
-    /// A stable, register-independent key used to group equivalent shapes.
-    pub fn kind_name(&self) -> &'static str {
-        use GadgetOp::*;
-        match self {
-            Pop(_) => "pop",
-            AddRsp(_) => "add_rsp",
-            MovRR(..) => "mov_rr",
-            Load(..) => "load",
-            Store(..) => "store",
-            LoadByte(..) => "load_byte",
-            LoadByteSx(..) => "load_byte_sx",
-            StoreByte(..) => "store_byte",
-            Alu(..) => "alu",
-            AluLoad(..) => "alu_load",
-            AluStore(..) => "alu_store",
-            Neg(_) => "neg",
-            Not(_) => "not",
-            Mul(..) => "mul",
-            Div(..) => "div",
-            Rem(..) => "rem",
-            ShlImm(..) => "shl_imm",
-            ShrImm(..) => "shr_imm",
-            SarImm(..) => "sar_imm",
-            ShlReg(..) => "shl_reg",
-            ShrReg(..) => "shr_reg",
-            Cmp(..) => "cmp",
-            Test(..) => "test",
-            Cmov(..) => "cmov",
-            Set(..) => "set",
-            XchgRspMemJmp(..) => "xchg_rsp_mem_jmp",
-            Unclassified => "unclassified",
-        }
-    }
-
     /// The primary instruction (without the terminating `ret`) implementing
     /// this operation, when a single instruction suffices.
     pub fn primary_inst(&self) -> Option<Inst> {

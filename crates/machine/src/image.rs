@@ -201,17 +201,6 @@ impl Image {
         addr
     }
 
-    /// Registers (or overwrites) a function symbol, e.g. after rewriting.
-    pub fn set_function_size(&mut self, name: &str, size: u64) -> Result<(), ImageError> {
-        let f = self
-            .functions
-            .iter_mut()
-            .find(|f| f.name == name)
-            .ok_or_else(|| ImageError::UnknownFunction(name.to_string()))?;
-        f.size = size;
-        Ok(())
-    }
-
     /// Total size of the image in bytes (text + data).
     pub fn size(&self) -> usize {
         self.text.len() + self.data.len()
@@ -224,61 +213,25 @@ impl SymbolResolver for Image {
     }
 }
 
-enum PendingFunc {
-    Asm { name: String, asm: Assembler },
-    Raw { name: String, bytes: Vec<u8> },
-}
-
 /// Builds an [`Image`] from functions and data objects, resolving
 /// cross-references (forward calls, global addresses) in a final link step.
+#[derive(Default)]
 pub struct ImageBuilder {
-    text_base: u64,
-    data_base: u64,
     data: Vec<u8>,
     symbols: BTreeMap<String, u64>,
-    funcs: Vec<PendingFunc>,
-}
-
-impl Default for ImageBuilder {
-    fn default() -> Self {
-        ImageBuilder::new()
-    }
+    funcs: Vec<(String, Assembler)>,
 }
 
 impl ImageBuilder {
     /// Creates a builder with the default section layout.
     pub fn new() -> ImageBuilder {
-        ImageBuilder {
-            text_base: TEXT_BASE,
-            data_base: DATA_BASE,
-            data: Vec::new(),
-            symbols: BTreeMap::new(),
-            funcs: Vec::new(),
-        }
-    }
-
-    /// Overrides the `.text` load address.
-    pub fn with_text_base(mut self, base: u64) -> Self {
-        self.text_base = base;
-        self
-    }
-
-    /// Overrides the `.data` load address.
-    pub fn with_data_base(mut self, base: u64) -> Self {
-        self.data_base = base;
-        self
+        ImageBuilder::default()
     }
 
     /// Adds a function from an assembler; its address is assigned at link
     /// time.
     pub fn add_function(&mut self, name: impl Into<String>, asm: Assembler) -> &mut Self {
-        self.funcs.push(PendingFunc::Asm { name: name.into(), asm });
-        self
-    }
-
-    /// Adds a function from already-encoded bytes.
-    pub fn add_raw_function(&mut self, name: impl Into<String>, bytes: Vec<u8>) -> &mut Self {
-        self.funcs.push(PendingFunc::Raw { name: name.into(), bytes });
+        self.funcs.push((name.into(), asm));
         self
     }
 
@@ -287,7 +240,7 @@ impl ImageBuilder {
         while !self.data.len().is_multiple_of(8) {
             self.data.push(0);
         }
-        let addr = self.data_base + self.data.len() as u64;
+        let addr = DATA_BASE + self.data.len() as u64;
         self.data.extend_from_slice(bytes);
         self.symbols.insert(name.into(), addr);
         addr
@@ -307,14 +260,11 @@ impl ImageBuilder {
     /// not fit.
     pub fn build(self) -> Result<Image, AsmError> {
         // Pass 1: lay out functions (sizes are resolution-independent).
-        let mut addr = self.text_base;
+        let mut addr = TEXT_BASE;
         let mut layout = Vec::new();
-        for f in &self.funcs {
-            let (name, size) = match f {
-                PendingFunc::Asm { name, asm } => (name.clone(), asm.byte_len() as u64),
-                PendingFunc::Raw { name, bytes } => (name.clone(), bytes.len() as u64),
-            };
-            layout.push(FuncSym { name, addr, size });
+        for (name, asm) in &self.funcs {
+            let size = asm.byte_len() as u64;
+            layout.push(FuncSym { name: name.clone(), addr, size });
             // Pad functions to 16 bytes so scanning one function does not
             // run into the next by accident, mirroring compiler alignment.
             addr += size;
@@ -327,26 +277,20 @@ impl ImageBuilder {
         }
 
         // Pass 2: assemble with the complete symbol table.
-        let mut text = Vec::with_capacity((addr - self.text_base) as usize);
-        for (pending, sym) in self.funcs.iter().zip(&layout) {
+        let mut text = Vec::with_capacity((addr - TEXT_BASE) as usize);
+        for ((_, asm), sym) in self.funcs.iter().zip(&layout) {
             // Padding up to the assigned address (alignment bytes are HLTs so
             // a stray fall-through traps rather than executing garbage).
-            while self.text_base + text.len() as u64 != sym.addr {
+            while TEXT_BASE + text.len() as u64 != sym.addr {
                 text.push(0x01);
             }
-            match pending {
-                PendingFunc::Asm { asm, .. } => {
-                    let bytes = asm.assemble(sym.addr, &symbols)?;
-                    text.extend_from_slice(&bytes);
-                }
-                PendingFunc::Raw { bytes, .. } => text.extend_from_slice(bytes),
-            }
+            text.extend_from_slice(&asm.assemble(sym.addr, &symbols)?);
         }
 
         Ok(Image {
-            text_base: self.text_base,
+            text_base: TEXT_BASE,
             text,
-            data_base: self.data_base,
+            data_base: DATA_BASE,
             data: self.data,
             symbols,
             functions: layout,

@@ -268,11 +268,6 @@ impl Memory {
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
-
-    /// Resident memory in bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
-    }
 }
 
 #[cfg(test)]

@@ -52,11 +52,6 @@ impl TraceEntry {
     pub fn rsp_delta(&self) -> i64 {
         self.rsp_after.wrapping_sub(self.rsp_before) as i64
     }
-
-    /// Whether the instruction wrote the given register.
-    pub fn writes_reg(&self, r: Reg) -> bool {
-        self.reg_writes.iter().any(|(w, _)| *w == r)
-    }
 }
 
 /// A recorded execution.

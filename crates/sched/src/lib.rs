@@ -1,21 +1,21 @@
 //! # raindrop-sched
 //!
 //! The reusable job scheduler underneath DSE batches, attack campaigns and
-//! the protection server: a work-stealing [`WorkQueue`], a persistent
-//! [`Scheduler`] with warm per-worker state ([`WorkerCtx`]), cancellation
-//! and per-job timing/outcome stats, plus the borrowing batch helper
-//! [`scoped_map`].
+//! the protection server: a persistent [`Scheduler`] with warm per-worker
+//! state ([`WorkerCtx`]), cancellation and per-job timing/outcome stats,
+//! plus the borrowing batch helper [`scoped_map`].
 //!
 //! Two entry points cover the two job shapes in this workspace:
 //!
 //! * [`Scheduler`] — a persistent pool for long-running services: jobs are
-//!   `'static` closures over warm per-worker state, queued FIFO and awaited
-//!   through [`JobHandle`]s. The protection server (`raindrop-server`) and
-//!   the attack campaign driver (`raindrop-attacks`) both run on it.
+//!   `'static` closures over warm per-worker state, queued FIFO on one
+//!   channel and awaited through [`JobHandle`]s. The protection server
+//!   (`raindrop-server`) and the attack campaign driver
+//!   (`raindrop-attacks`) both run on it.
 //! * [`scoped_map`] — a one-shot batch: borrows items and the job function
-//!   (no `'static` bound), pre-shards the batch across workers, and lets
-//!   work stealing rebalance slow items. Independent DSE attacks are
-//!   sharded with it.
+//!   (no `'static` bound), and each worker claims the next unclaimed item,
+//!   so a slow item never idles the rest of the pool. Independent DSE
+//!   attacks are sharded with it.
 //!
 //! Determinism: the scheduler moves *when and where* a job runs, never what
 //! it computes. Jobs must be self-contained (seeds and inputs inside the
@@ -26,25 +26,32 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod queue;
 mod scheduler;
 
-pub use queue::WorkQueue;
 pub use scheduler::{
-    panic_message, JobCtl, JobDone, JobHandle, JobOutcome, JobStats, Scheduler, SchedulerStats,
-    WorkerCtx,
+    JobDone, JobHandle, JobOutcome, JobStats, Scheduler, SchedulerStats, WorkerCtx,
 };
 
+use std::any::Any;
 use std::sync::Mutex;
 
-/// Runs `f` over every item on a temporary work-stealing pool of `workers`
-/// threads and returns the results in item order.
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string), or a placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Runs `f` over every item on a temporary pool of `workers` threads and
+/// returns the results in item order.
 ///
-/// The batch is pre-sharded round-robin across per-worker deques; a worker
-/// that finishes its shard steals from the back of the longest remaining
-/// one, so a slow item never idles the pool. Unlike [`Scheduler::submit`],
-/// items, results and `f` may borrow from the caller — the pool lives
-/// inside a [`std::thread::scope`].
+/// Each worker claims the next unclaimed item until none is left, so a
+/// slow item only occupies its own worker while the others drain the rest.
+/// Unlike [`Scheduler::submit`], items, results and `f` may borrow from the
+/// caller — the pool lives inside a [`std::thread::scope`].
 ///
 /// `f` must be deterministic per item for batch runs to be reproducible
 /// across worker counts.
@@ -64,37 +71,28 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(n);
-    let queue: WorkQueue<(usize, T)> = WorkQueue::new(workers);
-    for (i, item) in items.into_iter().enumerate() {
-        queue.push_local(i % workers, (i, item));
-    }
-    queue.close();
-    let results: Mutex<Vec<Option<R>>> =
-        Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let queue = &queue;
-            let results = &results;
-            let f = &f;
-            s.spawn(move || {
-                while let Some((i, item)) = queue.pop(w) {
-                    let r = f(i, item);
-                    results.lock().expect("results lock")[i] = Some(r);
-                }
-            });
-        }
+    let workers = workers.max(1).min(items.len());
+    let unclaimed = Mutex::new(items.into_iter().enumerate());
+    let mut results: Vec<(usize, R)> = std::thread::scope(|s| {
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard is a temporary of this statement: the
+                        // lock is released before `f` runs.
+                        let Some((i, item)) = unclaimed.lock().expect("items lock").next() else {
+                            return done;
+                        };
+                        done.push((i, f(i, item)));
+                    }
+                })
+            })
+            .collect();
+        pool.into_iter().flat_map(|worker| worker.join().expect("scoped worker")).collect()
     });
-    results
-        .into_inner()
-        .expect("scoped workers finished")
-        .into_iter()
-        .map(|r| r.expect("every item ran"))
-        .collect()
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

@@ -1,12 +1,10 @@
 //! The persistent scheduler: a worker pool with warm per-worker state over
-//! a [`WorkQueue`].
+//! one FIFO channel.
 
-use crate::queue::WorkQueue;
-use std::any::Any;
-use std::marker::PhantomData;
+use crate::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Warm per-worker state.
@@ -35,26 +33,6 @@ impl WorkerCtx for () {
     fn create(_worker: usize) {}
 }
 
-/// Cancellation/introspection handle passed to every running job.
-pub struct JobCtl {
-    cancelled: Arc<AtomicBool>,
-    worker: usize,
-}
-
-impl JobCtl {
-    /// Whether [`JobHandle::cancel`] was called for this job. Long-running
-    /// jobs should poll this and bail out early; the scheduler never
-    /// interrupts a running job preemptively.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// The 0-based index of the worker running this job.
-    pub fn worker(&self) -> usize {
-        self.worker
-    }
-}
-
 /// Timing and placement record of one finished job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobStats {
@@ -71,9 +49,7 @@ pub struct JobStats {
 pub enum JobOutcome<R> {
     /// The job ran to completion.
     Completed(R),
-    /// The job was cancelled before a worker started it, or it observed
-    /// [`JobCtl::is_cancelled`] and returned through a cancellation path of
-    /// its own (in which case it is `Completed` with whatever it returned).
+    /// The job was cancelled before a worker started it.
     Cancelled,
     /// The job panicked; the worker recovered and rebuilt its context.
     Panicked(String),
@@ -100,89 +76,31 @@ impl<R> JobDone<R> {
     }
 }
 
-enum Slot {
-    Pending,
-    Done(Option<Box<dyn Any + Send>>, JobStats, Option<String>),
-    Taken,
-}
-
-struct JobShared {
-    cancelled: Arc<AtomicBool>,
-    slot: Mutex<Slot>,
-    done: Condvar,
-}
-
-impl JobShared {
-    fn finish(&self, result: Option<Box<dyn Any + Send>>, stats: JobStats, panic: Option<String>) {
-        *self.slot.lock().expect("job slot") = Slot::Done(result, stats, panic);
-        self.done.notify_all();
-    }
-}
-
 /// A handle on one submitted job: wait for the result, or cancel it.
+#[derive(Debug)]
 pub struct JobHandle<R> {
-    shared: Arc<JobShared>,
-    _result: PhantomData<fn() -> R>,
+    cancelled: Arc<AtomicBool>,
+    reply: mpsc::Receiver<JobDone<R>>,
 }
 
-impl<R> std::fmt::Debug for JobHandle<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match *self.shared.slot.lock().expect("job slot") {
-            Slot::Pending => "pending",
-            Slot::Done(..) => "done",
-            Slot::Taken => "taken",
-        };
-        f.debug_struct("JobHandle").field("state", &state).finish()
-    }
-}
-
-fn decode_outcome<R: Any + Send>(
-    result: Option<Box<dyn Any + Send>>,
-    panic: Option<String>,
-) -> JobOutcome<R> {
-    match (result, panic) {
-        (Some(boxed), _) => {
-            JobOutcome::Completed(*boxed.downcast::<R>().expect("job result type matches submit"))
-        }
-        (None, Some(msg)) => JobOutcome::Panicked(msg),
-        (None, None) => JobOutcome::Cancelled,
-    }
-}
-
-impl<R: Any + Send> JobHandle<R> {
+impl<R> JobHandle<R> {
     /// Blocks until the job finishes and returns its outcome and stats.
     pub fn wait(self) -> JobDone<R> {
-        let mut slot = self.shared.slot.lock().expect("job slot");
-        loop {
-            match std::mem::replace(&mut *slot, Slot::Taken) {
-                Slot::Done(result, stats, panic) => {
-                    return JobDone { outcome: decode_outcome(result, panic), stats };
-                }
-                pending => {
-                    *slot = pending;
-                    slot = self.shared.done.wait(slot).expect("job slot");
-                }
-            }
-        }
+        self.reply.recv().expect("a worker replies to every queued job")
     }
 
     /// Requests cancellation. A job still queued is dropped unrun (its
     /// outcome becomes [`JobOutcome::Cancelled`]); a job already running
-    /// only observes this through [`JobCtl::is_cancelled`].
+    /// runs to completion.
     pub fn cancel(&self) {
-        self.shared.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the job has finished (completed, cancelled or panicked).
-    pub fn is_finished(&self) -> bool {
-        !matches!(*self.shared.slot.lock().expect("job slot"), Slot::Pending)
+        self.cancelled.store(true, Ordering::Relaxed);
     }
 }
 
-struct QueuedJob<C> {
-    #[allow(clippy::type_complexity)]
-    fun: Box<dyn FnOnce(&mut C, &JobCtl) -> Box<dyn Any + Send> + Send>,
-    shared: Arc<JobShared>,
+struct QueuedJob<C, R> {
+    fun: Box<dyn FnOnce(&mut C) -> R + Send>,
+    cancelled: Arc<AtomicBool>,
+    reply: mpsc::SyncSender<JobDone<R>>,
     /// When the job entered the queue.
     submitted: Instant,
 }
@@ -208,18 +126,14 @@ pub struct SchedulerStats {
     pub cancelled: u64,
     /// Jobs that panicked.
     pub panicked: u64,
-    /// Jobs stolen from another worker's local shard.
-    pub stolen: u64,
 }
 
 /// A persistent thread-pool scheduler with warm per-worker state.
 ///
-/// Workers are spawned at construction, each owning one
-/// [`WorkerCtx`]; jobs are closures over `(&mut C, &JobCtl)`, run in
-/// submission order and waited on through their [`JobHandle`]. Result
-/// types may differ from job to job — the handle restores the concrete
-/// type — which is what lets one scheduler instance serve heterogeneous
-/// work (protection pipelines next to DSE campaigns).
+/// Workers are spawned at construction, each owning one [`WorkerCtx`];
+/// jobs are closures over `&mut C` returning an `R`, queued on one FIFO
+/// channel, run in submission order and waited on through their
+/// [`JobHandle`].
 ///
 /// Dropping the scheduler (or calling [`shutdown`](Scheduler::shutdown))
 /// closes the queue, lets the workers drain every job already submitted,
@@ -238,10 +152,10 @@ pub struct SchedulerStats {
 ///     }
 /// }
 ///
-/// let sched: Scheduler<Scratch> = Scheduler::new(2);
+/// let sched: Scheduler<Scratch, u64> = Scheduler::new(2);
 /// let handles: Vec<_> = (0..8u64)
 ///     .map(|n| {
-///         sched.submit(move |ctx: &mut Scratch, _ctl| {
+///         sched.submit(move |ctx: &mut Scratch| {
 ///             ctx.0.clear();
 ///             ctx.0.extend(0..=n);
 ///             ctx.0.iter().sum::<u64>()
@@ -252,19 +166,21 @@ pub struct SchedulerStats {
 /// assert_eq!(sums, vec![0, 1, 3, 6, 10, 15, 21, 28]);
 /// assert_eq!(sched.stats().completed, 8);
 /// ```
-pub struct Scheduler<C: WorkerCtx> {
-    queue: Arc<WorkQueue<QueuedJob<C>>>,
+pub struct Scheduler<C: WorkerCtx, R: Send + 'static> {
+    /// `None` once shut down; dropping it ends the workers' loops after
+    /// they drain the queue.
+    jobs: Option<mpsc::Sender<QueuedJob<C, R>>>,
     counters: Arc<Counters>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
 }
 
-impl<C: WorkerCtx> Scheduler<C> {
+impl<C: WorkerCtx, R: Send + 'static> Scheduler<C, R> {
     /// Spawns a pool of `workers` threads (clamped to at least 1), each
     /// constructing its [`WorkerCtx`] up front.
-    pub fn new(workers: usize) -> Scheduler<C> {
+    pub fn new(workers: usize) -> Scheduler<C, R> {
         let workers = workers.max(1);
-        let queue: Arc<WorkQueue<QueuedJob<C>>> = Arc::new(WorkQueue::new(workers));
+        let (jobs, queue) = mpsc::channel();
+        let queue = Arc::new(Mutex::new(queue));
         let counters = Arc::new(Counters::default());
         let threads = (0..workers)
             .map(|w| {
@@ -273,43 +189,43 @@ impl<C: WorkerCtx> Scheduler<C> {
                 std::thread::spawn(move || worker_loop(w, &queue, &counters))
             })
             .collect();
-        Scheduler { queue, counters, threads, workers }
+        Scheduler { jobs: Some(jobs), counters, threads }
     }
 
     /// The number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.threads.len()
     }
 
     /// Submits a job to the back of the queue and returns its handle.
-    pub fn submit<R, F>(&self, f: F) -> JobHandle<R>
+    pub fn submit<F>(&self, f: F) -> JobHandle<R>
     where
-        R: Any + Send,
-        F: FnOnce(&mut C, &JobCtl) -> R + Send + 'static,
+        F: FnOnce(&mut C) -> R + Send + 'static,
     {
-        let shared = Arc::new(JobShared {
-            cancelled: Arc::new(AtomicBool::new(false)),
-            slot: Mutex::new(Slot::Pending),
-            done: Condvar::new(),
-        });
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let (reply, done) = mpsc::sync_channel(1);
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue.push(QueuedJob {
-            fun: Box::new(move |ctx, ctl| Box::new(f(ctx, ctl)) as Box<dyn Any + Send>),
-            shared: Arc::clone(&shared),
-            submitted: Instant::now(),
-        });
-        JobHandle { shared, _result: PhantomData }
+        self.jobs
+            .as_ref()
+            .expect("scheduler is running")
+            .send(QueuedJob {
+                fun: Box::new(f),
+                cancelled: Arc::clone(&cancelled),
+                reply,
+                submitted: Instant::now(),
+            })
+            .expect("scheduler workers are alive");
+        JobHandle { cancelled, reply: done }
     }
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
-            workers: self.workers,
+            workers: self.workers(),
             submitted: self.counters.submitted.load(Ordering::Relaxed),
             completed: self.counters.completed.load(Ordering::Relaxed),
             cancelled: self.counters.cancelled.load(Ordering::Relaxed),
             panicked: self.counters.panicked.load(Ordering::Relaxed),
-            stolen: self.queue.stolen(),
         }
     }
 
@@ -319,56 +235,56 @@ impl<C: WorkerCtx> Scheduler<C> {
     }
 
     fn shutdown_inner(&mut self) {
-        self.queue.close();
+        self.jobs = None;
         for t in self.threads.drain(..) {
             t.join().expect("scheduler worker thread");
         }
     }
 }
 
-impl<C: WorkerCtx> Drop for Scheduler<C> {
+impl<C: WorkerCtx, R: Send + 'static> Drop for Scheduler<C, R> {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
 }
 
-/// The message of a caught panic payload (`panic!` with a literal or a
-/// formatted string), or a placeholder for any other payload type.
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-fn worker_loop<C: WorkerCtx>(worker: usize, queue: &WorkQueue<QueuedJob<C>>, counters: &Counters) {
+fn worker_loop<C: WorkerCtx, R>(
+    worker: usize,
+    queue: &Mutex<mpsc::Receiver<QueuedJob<C, R>>>,
+    counters: &Counters,
+) {
     let mut ctx = C::create(worker);
-    while let Some(job) = queue.pop(worker) {
+    loop {
+        // The guard is a temporary of this statement: the lock is released
+        // before the job runs.
+        let Ok(job) = queue.lock().expect("job queue").recv() else {
+            return; // the scheduler shut down and the queue is drained
+        };
         let started = Instant::now();
         let queued = started.duration_since(job.submitted);
-        if job.shared.cancelled.load(Ordering::Relaxed) {
+        let (outcome, run) = if job.cancelled.load(Ordering::Relaxed) {
             counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            job.shared.finish(None, JobStats { queued, run: Duration::ZERO, worker }, None);
-            continue;
-        }
-        let ctl = JobCtl { cancelled: Arc::clone(&job.shared.cancelled), worker };
-        let fun = job.fun;
-        let result = catch_unwind(AssertUnwindSafe(|| fun(&mut ctx, &ctl)));
-        let stats = JobStats { queued, run: started.elapsed(), worker };
-        match result {
-            Ok(boxed) => {
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                job.shared.finish(Some(boxed), stats, None);
+            (JobOutcome::Cancelled, Duration::ZERO)
+        } else {
+            let fun = job.fun;
+            let result = catch_unwind(AssertUnwindSafe(|| fun(&mut ctx)));
+            let run = started.elapsed();
+            match result {
+                Ok(r) => {
+                    counters.completed.fetch_add(1, Ordering::Relaxed);
+                    (JobOutcome::Completed(r), run)
+                }
+                Err(payload) => {
+                    counters.panicked.fetch_add(1, Ordering::Relaxed);
+                    // The panicking job may have left the warm context in
+                    // an arbitrary state; rebuild it before the next job.
+                    ctx = C::create(worker);
+                    (JobOutcome::Panicked(panic_message(payload.as_ref())), run)
+                }
             }
-            Err(payload) => {
-                counters.panicked.fetch_add(1, Ordering::Relaxed);
-                job.shared.finish(None, stats, Some(panic_message(payload.as_ref())));
-                // The panicking job may have left the warm context in an
-                // arbitrary state; rebuild it before the next job.
-                ctx = C::create(worker);
-            }
-        }
+        };
+        // A send fails only when the handle was dropped unwaited.
+        let _ = job.reply.send(JobDone { outcome, stats: JobStats { queued, run, worker } });
     }
 }
 
@@ -378,13 +294,27 @@ mod tests {
 
     #[test]
     fn results_come_back_typed_and_heterogeneous() {
-        let sched: Scheduler<()> = Scheduler::new(2);
-        let a = sched.submit(|_, _| 41u64 + 1);
-        let b = sched.submit(|_, _| "text".to_string());
-        assert_eq!(a.wait().expect_completed(), 42);
-        assert_eq!(b.wait().expect_completed(), "text");
+        let sched: Scheduler<(), Result<u64, String>> = Scheduler::new(2);
+        let a = sched.submit(|_| Ok(41 + 1));
+        let b = sched.submit(|_| Err("text".to_string()));
+        assert_eq!(a.wait().expect_completed(), Ok(42));
+        assert_eq!(b.wait().expect_completed(), Err("text".to_string()));
         let stats = sched.stats();
         assert_eq!((stats.submitted, stats.completed), (2, 2));
+    }
+
+    #[test]
+    fn one_worker_runs_jobs_in_submission_order() {
+        let sched: Scheduler<(), ()> = Scheduler::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let handles: Vec<_> = (0..16u32)
+            .map(|i| {
+                let order = Arc::clone(&order);
+                sched.submit(move |_| order.lock().unwrap().push(i))
+            })
+            .collect();
+        handles.into_iter().for_each(|h| h.wait().expect_completed());
+        assert_eq!(*order.lock().unwrap(), (0..16).collect::<Vec<_>>());
     }
 
     #[test]
@@ -397,10 +327,10 @@ mod tests {
         }
         // One worker: every job sees the same context, so the per-job
         // increments accumulate.
-        let sched: Scheduler<Counter> = Scheduler::new(1);
+        let sched: Scheduler<Counter, u64> = Scheduler::new(1);
         let handles: Vec<_> = (0..5)
             .map(|_| {
-                sched.submit(|ctx: &mut Counter, _| {
+                sched.submit(|ctx: &mut Counter| {
                     ctx.0 += 1;
                     ctx.0
                 })
@@ -412,19 +342,19 @@ mod tests {
 
     #[test]
     fn cancellation_before_start_skips_the_job() {
-        let sched: Scheduler<()> = Scheduler::new(1);
+        let sched: Scheduler<(), ()> = Scheduler::new(1);
         // A blocker keeps the single worker busy long enough for the cancel
         // to land while the victim is still queued.
         let gate = Arc::new(AtomicBool::new(false));
         let blocker_gate = Arc::clone(&gate);
-        let blocker = sched.submit(move |_, _| {
+        let blocker = sched.submit(move |_| {
             while !blocker_gate.load(Ordering::Relaxed) {
                 std::thread::yield_now();
             }
         });
         let ran = Arc::new(AtomicBool::new(false));
         let victim_ran = Arc::clone(&ran);
-        let victim = sched.submit(move |_, _| victim_ran.store(true, Ordering::Relaxed));
+        let victim = sched.submit(move |_| victim_ran.store(true, Ordering::Relaxed));
         victim.cancel();
         gate.store(true, Ordering::Relaxed);
         blocker.wait().expect_completed();
@@ -441,14 +371,12 @@ mod tests {
                 Tainted(false)
             }
         }
-        let sched: Scheduler<Tainted> = Scheduler::new(1);
-        let bad = sched.submit(|ctx: &mut Tainted, _| {
+        let sched: Scheduler<Tainted, bool> = Scheduler::new(1);
+        let bad = sched.submit(|ctx: &mut Tainted| {
             ctx.0 = true;
             panic!("boom");
-            #[allow(unreachable_code)]
-            0u8
         });
-        let after = sched.submit(|ctx: &mut Tainted, _| ctx.0);
+        let after = sched.submit(|ctx: &mut Tainted| ctx.0);
         match bad.wait().outcome {
             JobOutcome::Panicked(msg) => assert!(msg.contains("boom")),
             other => panic!("expected panic outcome, got {other:?}"),
@@ -459,16 +387,16 @@ mod tests {
 
     #[test]
     fn job_stats_record_queue_and_run_time() {
-        let sched: Scheduler<()> = Scheduler::new(1);
-        let done = sched.submit(|_, _| std::thread::sleep(Duration::from_millis(2))).wait();
+        let sched: Scheduler<(), ()> = Scheduler::new(1);
+        let done = sched.submit(|_| std::thread::sleep(Duration::from_millis(2))).wait();
         assert!(done.stats.run >= Duration::from_millis(2));
         assert_eq!(done.stats.worker, 0);
     }
 
     #[test]
     fn shutdown_drains_pending_jobs() {
-        let sched: Scheduler<()> = Scheduler::new(2);
-        let handles: Vec<_> = (0..16u32).map(|i| sched.submit(move |_, _| i * i)).collect();
+        let sched: Scheduler<(), u32> = Scheduler::new(2);
+        let handles: Vec<_> = (0..16u32).map(|i| sched.submit(move |_| i * i)).collect();
         sched.shutdown();
         let out: Vec<u32> = handles.into_iter().map(|h| h.wait().expect_completed()).collect();
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());

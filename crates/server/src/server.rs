@@ -158,7 +158,7 @@ pub struct ServerStats {
 /// # }
 /// ```
 pub struct Server {
-    sched: Scheduler<ProtectWorker>,
+    sched: Scheduler<ProtectWorker, Result<Protected, ProtectError>>,
     store: Arc<Mutex<ArtifactStore>>,
     counters: Arc<ServerCounters>,
 }
@@ -191,7 +191,7 @@ impl Server {
         let store = Arc::clone(&self.store);
         let counters = Arc::clone(&self.counters);
         counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.sched.submit(move |worker: &mut ProtectWorker, _ctl| {
+        self.sched.submit(move |worker: &mut ProtectWorker| {
             let started = std::time::Instant::now();
             let key = request.key();
 
