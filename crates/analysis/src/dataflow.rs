@@ -108,7 +108,7 @@ fn transfer(inst: &Inst, mut derived: RegSet) -> RegSet {
             // derived when any argument register was.
             if inst.is_call() {
                 let args_derived = Reg::ARGS.iter().any(|r| derived.contains(*r));
-                let (_, defs) = use_def(inst);
+                let (_, defs) = use_def(inst, RegSet::from_regs(Reg::ARGS));
                 for r in defs.iter() {
                     derived.remove(r);
                 }

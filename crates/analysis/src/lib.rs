@@ -9,7 +9,8 @@
 //!   interpretation over ROP chain data (the attacker's static model);
 //! * [`mod@cfg`] — control-flow-graph reconstruction from function bytes,
 //!   including the switch-table heuristic of the paper's appendix;
-//! * [`liveness`] — backward register and condition-flag liveness;
+//! * [`liveness`] — backward register and condition-flag liveness, with
+//!   the argument registers each callee of an image reads;
 //! * [`dataflow`] — forward "input-derived register" analysis used to place
 //!   the P3 predicate.
 //!
@@ -17,7 +18,7 @@
 //!
 //! ```
 //! use raindrop_machine::{Assembler, ImageBuilder, Inst, Reg};
-//! use raindrop_analysis::{cfg, liveness};
+//! use raindrop_analysis::{liveness, ArgSummary};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut asm = Assembler::new();
@@ -25,8 +26,9 @@
 //! let mut builder = ImageBuilder::new();
 //! builder.add_function("id", asm);
 //! let image = builder.build()?;
-//! let graph = cfg::reconstruct(&image, "id")?;
-//! let live = liveness::analyze(&graph);
+//! let mut args = ArgSummary::default();
+//! let graph = args.cover(&image, "id", |_| false)?;
+//! let live = liveness::analyze(&graph, &args);
 //! assert!(live.live_in[graph.entry().0].contains(Reg::Rdi));
 //! # Ok(())
 //! # }
@@ -46,4 +48,4 @@ pub use absint::{
 };
 pub use cfg::{BasicBlock, BlockId, Cfg, CfgError, FuncCode, Terminator};
 pub use dataflow::{input_derived, InputDerived};
-pub use liveness::{analyze as liveness_analyze, Liveness};
+pub use liveness::{ArgSummary, Liveness};

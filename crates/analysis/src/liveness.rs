@@ -4,17 +4,115 @@
 //! uses its results in three places, mirroring §IV-B of the paper:
 //!
 //! * roplets are annotated with the registers live *after* the original
-//!   instruction, so the register allocator knows which registers are scratch
-//!   and which must be preserved or spilled;
+//!   instruction, so the register allocator knows which registers are free
+//!   as scratch and which must be preserved;
 //! * the flags-liveness component identifies the few program points where a
 //!   later instruction may read the condition flags, so the rewriter spills
 //!   and restores the status register only when gadget-induced pollution
 //!   would actually be observable;
 //! * P3 pairs a *dead* register with an input-derived one when building its
 //!   opaque recomputations.
+//!
+//! A direct call reads only the argument registers its callee reads, as
+//! worked out over the image's call graph by [`ArgSummary::cover`]. Calls
+//! the summary cannot see into read all six, so an empty summary is the
+//! conservative ABI model.
 
-use crate::cfg::{BlockId, Cfg, Terminator};
-use raindrop_machine::{Inst, Reg, RegSet};
+use crate::cfg::{self, BlockId, Cfg, CfgError, Terminator};
+use raindrop_machine::{encoded_len, Image, Inst, Reg, RegSet};
+use std::collections::BTreeMap;
+
+/// The argument registers functions of an image read on entry
+/// (`live_in[entry] ∩` [`Reg::ARGS`]), keyed by entry address and filled in
+/// by [`cover`](ArgSummary::cover).
+///
+/// A call target the summary holds no entry for reads all six argument
+/// registers, so the empty summary is the conservative ABI model.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ArgSummary {
+    reads: BTreeMap<u64, RegSet>,
+}
+
+impl ArgSummary {
+    /// Adds `name` and every function it reaches through direct calls that
+    /// the summary does not hold yet, and returns the CFG of `name`.
+    ///
+    /// The added functions start at ∅ and their entry liveness is
+    /// recomputed until nothing changes, so a zero-argument wrapper around a
+    /// zero-argument callee reads nothing. A function reads all six when
+    /// `replaced(name)` holds (its body, e.g. a ROP pivot stub, no longer
+    /// shows what it reads) or when its CFG does not reconstruct (as for a
+    /// tail jump through a register). Cover a function before its body is
+    /// replaced.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the CFG of `name` does not reconstruct.
+    pub fn cover(
+        &mut self,
+        image: &Image,
+        name: &str,
+        replaced: impl Fn(&str) -> bool,
+    ) -> Result<Cfg, CfgError> {
+        let root = cfg::reconstruct(image, name)?;
+        let all = RegSet::from_regs(Reg::ARGS);
+        let mut added: Vec<Cfg> = Vec::new();
+        let mut next = vec![root.entry_addr];
+        while let Some(addr) = next.pop() {
+            if self.reads.contains_key(&addr) {
+                continue;
+            }
+            let graph = match image.functions.iter().find(|f| f.addr == addr) {
+                Some(f) if replaced(&f.name) => None,
+                Some(f) if f.name == name => Some(root.clone()),
+                Some(f) => cfg::reconstruct(image, &f.name).ok(),
+                None => None,
+            };
+            let Some(graph) = graph else {
+                self.reads.insert(addr, all);
+                continue;
+            };
+            self.reads.insert(addr, RegSet::EMPTY);
+            for (at, inst) in graph.blocks.iter().flat_map(|b| &b.insts) {
+                next.extend(call_target(*at, inst));
+            }
+            added.push(graph);
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for g in &added {
+                let reads = analyze(g, self).live_in[g.entry().0].intersection(all);
+                if self.reads.insert(g.entry_addr, reads) != Some(reads) {
+                    changed = true;
+                }
+            }
+        }
+        Ok(root)
+    }
+
+    /// Argument registers a call to `target` reads.
+    pub fn reads(&self, target: u64) -> RegSet {
+        self.reads.get(&target).copied().unwrap_or(RegSet::from_regs(Reg::ARGS))
+    }
+
+    /// Argument registers the call instruction `inst` at `addr` reads (all
+    /// six for `call reg`).
+    pub fn call_reads(&self, addr: u64, inst: &Inst) -> RegSet {
+        call_target(addr, inst).map_or(RegSet::from_regs(Reg::ARGS), |t| self.reads(t))
+    }
+}
+
+/// Target of the direct call `inst` at `addr`.
+fn call_target(addr: u64, inst: &Inst) -> Option<u64> {
+    match *inst {
+        Inst::Call(rel) => {
+            let next = addr + encoded_len(inst) as u64;
+            Some(next.wrapping_add(rel as i64 as u64))
+        }
+        _ => None,
+    }
+}
 
 /// Per-instruction liveness facts for one function.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,10 +130,11 @@ pub struct Liveness {
 }
 
 /// Register use/def sets of one instruction, with calls modeled by the ABI:
-/// a call reads the argument registers and clobbers the caller-saved set.
-pub fn use_def(inst: &Inst) -> (RegSet, RegSet) {
+/// a call reads `call_args` (the argument registers its target reads, see
+/// [`ArgSummary::call_reads`]) and clobbers the caller-saved set.
+pub fn use_def(inst: &Inst, call_args: RegSet) -> (RegSet, RegSet) {
     if inst.is_call() {
-        let mut uses = RegSet::from_regs(Reg::ARGS);
+        let mut uses = call_args;
         uses.insert(Reg::Rsp);
         if let Inst::CallReg(r) = inst {
             uses.insert(*r);
@@ -57,11 +156,10 @@ pub fn exit_live_set() -> RegSet {
     s
 }
 
-/// Computes register and flags liveness for `cfg`.
-pub fn analyze(cfg: &Cfg) -> Liveness {
+/// Computes register and flags liveness for `cfg`, with each direct call
+/// reading the argument registers `args` records for its target.
+pub fn analyze(cfg: &Cfg, args: &ArgSummary) -> Liveness {
     let n = cfg.blocks.len();
-    let preds = cfg.predecessors();
-    let _ = &preds;
 
     // Per-block use/def summaries.
     let mut block_use = vec![RegSet::new(); n];
@@ -69,8 +167,8 @@ pub fn analyze(cfg: &Cfg) -> Liveness {
     for b in &cfg.blocks {
         let mut used = RegSet::new();
         let mut defined = RegSet::new();
-        for (_, inst) in &b.insts {
-            let (u, d) = use_def(inst);
+        for (addr, inst) in &b.insts {
+            let (u, d) = use_def(inst, args.call_reads(*addr, inst));
             used = used.union(u.difference(defined));
             defined = defined.union(d);
         }
@@ -151,10 +249,10 @@ pub fn analyze(cfg: &Cfg) -> Liveness {
         let mut flags_after = vec![false; b.insts.len()];
         let mut live = live_out[b.id.0];
         let mut fl = flags_out[b.id.0];
-        for (i, (_, inst)) in b.insts.iter().enumerate().rev() {
+        for (i, (addr, inst)) in b.insts.iter().enumerate().rev() {
             regs_after[i] = live;
             flags_after[i] = fl;
-            let (u, d) = use_def(inst);
+            let (u, d) = use_def(inst, args.call_reads(*addr, inst));
             live = u.union(live.difference(d));
             if inst.writes_flags() || inst.is_call() {
                 fl = false;
@@ -176,14 +274,6 @@ impl Liveness {
         self.live_after[b.0][i]
     }
 
-    /// Registers that are *dead* (free to clobber) after instruction `i` of
-    /// block `b`, excluding the stack pointer.
-    pub fn dead_after(&self, b: BlockId, i: usize) -> RegSet {
-        let mut dead = RegSet::FULL.difference(self.live_after[b.0][i]);
-        dead.remove(Reg::Rsp);
-        dead
-    }
-
     /// Whether the flags are live after instruction `i` of block `b`.
     pub fn flags_after(&self, b: BlockId, i: usize) -> bool {
         self.flags_live_after[b.0][i]
@@ -203,7 +293,7 @@ mod tests {
         b.add_function("f", a);
         let img = b.build().unwrap();
         let cfg = cfg::reconstruct(&img, "f").unwrap();
-        let live = analyze(&cfg);
+        let live = analyze(&cfg, &ArgSummary::default());
         (cfg, live)
     }
 
@@ -225,8 +315,7 @@ mod tests {
         // rax is live at exit (return value).
         assert!(live.after(b, 3).contains(Reg::Rax));
         // r10 is dead everywhere.
-        assert!(live.dead_after(b, 0).contains(Reg::R10));
-        assert!(!live.dead_after(b, 0).contains(Reg::Rsp));
+        assert!(!live.after(b, 0).contains(Reg::R10));
     }
 
     #[test]
@@ -280,8 +369,9 @@ mod tests {
         assert!(!live.after(b, 1).contains(Reg::R10));
         // rbx (callee-saved) read after the call is live before it.
         assert!(live.live_in[b.0].contains(Reg::Rbx));
-        // Argument registers are conservatively live right before the call.
-        let (uses, defs) = use_def(&Inst::Call(0));
+        // Without a summary, argument registers are live right before a call.
+        let (uses, defs) =
+            use_def(&Inst::Call(0), ArgSummary::default().call_reads(0, &Inst::Call(0)));
         assert!(uses.contains(Reg::Rdi));
         assert!(defs.contains(Reg::R11));
         assert!(!defs.contains(Reg::Rbx));
@@ -310,5 +400,82 @@ mod tests {
             .unwrap();
         assert!(live.live_in[header.id.0].contains(Reg::Rdi));
         assert!(live.live_in[header.id.0].contains(Reg::Rax));
+    }
+
+    type Build = fn(&mut Assembler);
+
+    /// Builds an image of `funcs`, covers each in turn and returns what each
+    /// one reads.
+    fn reads_of(funcs: &[(&str, Build)], replaced: &[&str]) -> Vec<RegSet> {
+        let mut b = ImageBuilder::new();
+        for (name, build) in funcs {
+            let mut a = Assembler::new();
+            build(&mut a);
+            b.add_function(*name, a);
+        }
+        let img = b.build().unwrap();
+        let mut summary = ArgSummary::default();
+        for (name, _) in funcs {
+            let _ = summary.cover(&img, name, |name| replaced.contains(&name));
+        }
+        funcs.iter().map(|(name, _)| summary.reads(img.function(name).unwrap().addr)).collect()
+    }
+
+    #[test]
+    fn zero_argument_callees_and_recursion_reach_a_fixpoint() {
+        let reads = reads_of(
+            &[
+                ("adds_rsi", |a| {
+                    a.inst(Inst::MovRR(Reg::Rax, Reg::Rsi)).call_sym("wrapper").inst(Inst::Ret);
+                }),
+                // `wrapper` reads what `inner`, later in function order, reads.
+                ("wrapper", |a| {
+                    a.call_sym("inner").inst(Inst::Ret);
+                }),
+                ("inner", |a| {
+                    a.inst(Inst::MovRI(Reg::Rax, 7)).inst(Inst::Ret);
+                }),
+                ("rec", |a| {
+                    let done = a.new_label();
+                    a.inst(Inst::CmpI(Reg::Rdi, 0)).jcc(Cond::E, done);
+                    a.inst(Inst::AluI(AluOp::Sub, Reg::Rdi, 1)).call_sym("rec").bind(done);
+                    a.inst(Inst::Ret);
+                }),
+            ],
+            &[],
+        );
+        let rsi = RegSet::from_regs([Reg::Rsi]);
+        assert_eq!(reads, [rsi, RegSet::EMPTY, RegSet::EMPTY, RegSet::from_regs([Reg::Rdi])]);
+    }
+
+    #[test]
+    fn unseen_callees_read_every_argument_register() {
+        let reads = reads_of(
+            &[
+                // Replaced by a pivot stub, and a caller of it.
+                ("wrapper", |a| {
+                    a.call_sym("inner").inst(Inst::Ret);
+                }),
+                ("inner", |a| {
+                    a.inst(Inst::MovRI(Reg::Rax, 7)).inst(Inst::Ret);
+                }),
+                ("indirect", |a| {
+                    a.inst(Inst::CallReg(Reg::R11)).inst(Inst::Ret);
+                }),
+                // A tail jump through a register: no CFG, so no summary.
+                ("tail", |a| {
+                    a.inst(Inst::JmpReg(Reg::R11));
+                }),
+                ("calls_tail", |a| {
+                    a.call_sym("tail").inst(Inst::Ret);
+                }),
+            ],
+            &["inner"],
+        );
+        let all = RegSet::from_regs(Reg::ARGS);
+        assert_eq!(reads, [all; 5]);
+        let empty = ArgSummary::default();
+        assert_eq!(empty.call_reads(0, &Inst::CallReg(Reg::R11)), all);
+        assert_eq!(empty.reads(0xdead), all);
     }
 }

@@ -3,7 +3,7 @@
 //! liveness and the input-derived (symbolic-register) dataflow.
 
 use proptest::prelude::*;
-use raindrop_analysis::{cfg, dataflow, liveness, BlockId, Terminator};
+use raindrop_analysis::{cfg, dataflow, liveness, ArgSummary, BlockId, Terminator};
 use raindrop_machine::{AluOp, Assembler, Cond, Image, ImageBuilder, Inst, Mem, Reg, RegSet};
 
 /// Builds a single-function image.
@@ -203,7 +203,7 @@ fn unknown_functions_are_reported() {
 fn arguments_read_on_entry_are_live_in() {
     let img = image_of(diamond);
     let g = cfg::reconstruct(&img, "f").unwrap();
-    let live = liveness::analyze(&g);
+    let live = liveness::analyze(&g, &ArgSummary::default());
     let entry_in = live.live_in[g.entry().0];
     assert!(entry_in.contains(Reg::Rdi));
     assert!(entry_in.contains(Reg::Rsi));
@@ -215,7 +215,7 @@ fn dead_registers_are_not_live_in() {
         a.inst(Inst::MovRI(Reg::Rax, 7)).inst(Inst::MovRR(Reg::Rbx, Reg::Rax)).inst(Inst::Ret);
     });
     let g = cfg::reconstruct(&img, "f").unwrap();
-    let live = liveness::analyze(&g);
+    let live = liveness::analyze(&g, &ArgSummary::default());
     // rax is defined before use, so it is not live on entry; rdi is unused.
     assert!(!live.live_in[0].contains(Reg::Rax));
     assert!(!live.live_in[0].contains(Reg::Rdi));
@@ -225,7 +225,7 @@ fn dead_registers_are_not_live_in() {
 fn flags_are_live_between_compare_and_branch_only() {
     let img = image_of(diamond);
     let g = cfg::reconstruct(&img, "f").unwrap();
-    let live = liveness::analyze(&g);
+    let live = liveness::analyze(&g, &ArgSummary::default());
     let entry = g.entry().0;
     let insts = &g.block(g.entry()).insts;
     // Find the cmp: flags are live right after it (the jcc still reads them).
@@ -243,7 +243,7 @@ fn liveness_is_a_sound_fixpoint() {
     for builder in [diamond as fn(&mut Assembler), counted_loop] {
         let img = image_of(builder);
         let g = cfg::reconstruct(&img, "f").unwrap();
-        let live = liveness::analyze(&g);
+        let live = liveness::analyze(&g, &ArgSummary::default());
         for b in &g.blocks {
             let mut expected_out = RegSet::EMPTY;
             for s in b.term.successors() {
@@ -262,7 +262,8 @@ fn liveness_is_a_sound_fixpoint() {
 
 #[test]
 fn calls_clobber_caller_saved_registers_in_use_def() {
-    let (uses, defs) = liveness::use_def(&Inst::Call(0));
+    let call = Inst::Call(0);
+    let (uses, defs) = liveness::use_def(&call, ArgSummary::default().call_reads(0, &call));
     for r in Reg::ARGS {
         assert!(uses.contains(r), "calls read argument register {r:?}");
     }
@@ -433,7 +434,7 @@ proptest! {
         prop_assert_eq!(rpo[0], g.entry());
 
         // 3. Liveness: live_out is the union of successor live_in.
-        let live = liveness::analyze(&g);
+        let live = liveness::analyze(&g, &ArgSummary::default());
         for b in &g.blocks {
             let mut expected = RegSet::EMPTY;
             for s in b.term.successors() {

@@ -65,8 +65,6 @@ struct ConfigRow {
     cfg_reconstructed: usize,
     /// Whether every program's pipeline-integrated static audit was clean.
     audit_clean: bool,
-    /// Pre-rewrite lints raised across the class.
-    lints: usize,
     /// `__rop_chain_*` blobs found and walked.
     chains: usize,
     chains_hit_opaque: usize,
@@ -119,7 +117,6 @@ fn measure(kind: &ObfKind, workloads: &[Workload]) -> ConfigRow {
     let mut precisions: Vec<f64> = Vec::new();
     let mut cfg_reconstructed = 0usize;
     let mut audit_clean = true;
-    let mut lints = 0usize;
     let mut rewrite_failures = 0usize;
     let mut programs = 0usize;
     let mut chains = 0usize;
@@ -134,7 +131,6 @@ fn measure(kind: &ObfKind, workloads: &[Workload]) -> ConfigRow {
         };
         programs += 1;
         audit_clean &= report.audit_clean();
-        lints += report.lints.len();
         for func in &w.obfuscate {
             let score = recovery_score(&native, &image, func);
             fractions.push(score.fraction());
@@ -160,7 +156,6 @@ fn measure(kind: &ObfKind, workloads: &[Workload]) -> ConfigRow {
         precision_mean: precisions.iter().sum::<f64>() / n,
         cfg_reconstructed,
         audit_clean,
-        lints,
         chains,
         chains_hit_opaque,
         chains_reached_unpivot,

@@ -71,8 +71,6 @@ pub struct RopConfig {
     /// Maximum ROP-call nesting depth supported by the stack-switching
     /// array.
     pub max_rop_depth: usize,
-    /// Number of 8-byte spill slots available to the register allocator.
-    pub spill_slots: usize,
 }
 
 impl Default for RopConfig {
@@ -86,7 +84,6 @@ impl Default for RopConfig {
             catalog: CatalogConfig::default(),
             seed: 0xDA1D_0B5C_u64,
             max_rop_depth: 1024,
-            spill_slots: 1,
         }
     }
 }

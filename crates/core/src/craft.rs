@@ -16,7 +16,7 @@ use crate::error::RewriteError;
 use crate::predicates::{P1Instance, P2Adjust, P2Operand, P3Policy};
 use crate::roplet::{classify, RopletKind};
 use crate::runtime::RopRuntime;
-use raindrop_analysis::{BlockId, Cfg, InputDerived, Liveness, Terminator};
+use raindrop_analysis::{ArgSummary, BlockId, Cfg, InputDerived, Liveness, Terminator};
 use raindrop_gadgets::{GadgetCatalog, GadgetOp};
 use raindrop_machine::{AluOp, Cond, Image, Inst, Mem, Reg, RegSet};
 use rand::Rng;
@@ -71,6 +71,7 @@ pub struct Crafter<'a> {
     cfg: &'a Cfg,
     liveness: &'a Liveness,
     derived: &'a InputDerived,
+    args: &'a ArgSummary,
     rng: ChaCha8Rng,
     chain: Chain,
     stats: CraftStats,
@@ -86,6 +87,9 @@ pub struct Crafter<'a> {
     /// Scratch registers holding live temporaries of the lowering currently
     /// in progress; gadget requests must not clobber them.
     scratch_in_use: RegSet,
+    /// Address of the original instruction currently lowered, reported by
+    /// [`RewriteError::RegisterPressure`].
+    site: u64,
 }
 
 impl<'a> Crafter<'a> {
@@ -99,6 +103,7 @@ impl<'a> Crafter<'a> {
         cfg: &'a Cfg,
         liveness: &'a Liveness,
         derived: &'a InputDerived,
+        args: &'a ArgSummary,
         seed: u64,
     ) -> Crafter<'a> {
         use rand::SeedableRng;
@@ -117,6 +122,7 @@ impl<'a> Crafter<'a> {
             cfg,
             liveness,
             derived,
+            args,
             rng,
             chain: Chain::new(),
             stats: CraftStats::default(),
@@ -126,6 +132,7 @@ impl<'a> Crafter<'a> {
             branch_counter: 0,
             preserve_flags: false,
             scratch_in_use: RegSet::new(),
+            site: cfg.entry_addr,
         }
     }
 
@@ -256,8 +263,7 @@ impl<'a> Crafter<'a> {
         let mut free = SCRATCH_ORDER.iter().copied().filter(|r| !blocked.contains(*r));
         let mut picked = [Reg::Rax; N];
         for slot in &mut picked {
-            *slot =
-                free.next().ok_or(RewriteError::RegisterPressure { addr: self.cfg.entry_addr })?;
+            *slot = free.next().ok_or(RewriteError::RegisterPressure { addr: self.site })?;
         }
         for r in picked {
             self.scratch_in_use.insert(r);
@@ -343,6 +349,7 @@ impl<'a> Crafter<'a> {
         let block = &cfg.blocks[pos];
         let id = block.id;
         self.chain.items.push(ChainItem::BlockStart(id));
+        self.site = block.start;
 
         // P2 adjustment at block entry, when planned.
         if let Some(adj) = self.p2_plan.get(&id).copied() {
@@ -354,6 +361,7 @@ impl<'a> Crafter<'a> {
 
         let n = block.insts.len();
         for (i, (addr, inst)) in block.insts.iter().enumerate() {
+            self.site = *addr;
             let is_term = inst.is_terminator();
             if is_term && i == n - 1 && !matches!(inst, Inst::Ret) {
                 // Jmp / Jcc / JmpMem terminators are handled below with the
@@ -763,9 +771,7 @@ impl<'a> Crafter<'a> {
             }
             RopletKind::DirectStackAccess => match *inst {
                 Inst::Push(r) => {
-                    let [t1, t2, t3] = self
-                        .pick_scratch(protected)
-                        .map_err(|_| RewriteError::RegisterPressure { addr })?;
+                    let [t1, t2, t3] = self.pick_scratch(protected)?;
                     self.emit_other_rsp_ptr(t1, protected);
                     self.gadget(GadgetOp::Load(t2, t1), protected, pf);
                     self.pop_value(t3, 8, protected);
@@ -774,9 +780,7 @@ impl<'a> Crafter<'a> {
                     self.gadget(GadgetOp::Store(t2, r), protected, pf);
                 }
                 Inst::PushI(v) => {
-                    let [t1, t2, t3] = self
-                        .pick_scratch(protected)
-                        .map_err(|_| RewriteError::RegisterPressure { addr })?;
+                    let [t1, t2, t3] = self.pick_scratch(protected)?;
                     self.emit_other_rsp_ptr(t1, protected);
                     self.gadget(GadgetOp::Load(t2, t1), protected, pf);
                     self.pop_value(t3, 8, protected);
@@ -789,9 +793,7 @@ impl<'a> Crafter<'a> {
                     if r == Reg::Rsp {
                         return Err(unsupported(inst));
                     }
-                    let [t1, t2, t3] = self
-                        .pick_scratch(protected)
-                        .map_err(|_| RewriteError::RegisterPressure { addr })?;
+                    let [t1, t2, t3] = self.pick_scratch(protected)?;
                     self.emit_other_rsp_ptr(t1, protected);
                     self.gadget(GadgetOp::Load(t2, t1), protected, pf);
                     self.gadget(GadgetOp::Load(r, t2), protected, pf);
@@ -804,9 +806,7 @@ impl<'a> Crafter<'a> {
             RopletKind::StackPtrRef => self.lower_stack_ptr_ref(addr, inst, protected, pf)?,
             RopletKind::Epilogue => match inst {
                 Inst::Leave => {
-                    let [t1, t2, t3] = self
-                        .pick_scratch(protected)
-                        .map_err(|_| RewriteError::RegisterPressure { addr })?;
+                    let [t1, t2, t3] = self.pick_scratch(protected)?;
                     // other_rsp = rbp; rbp = *other_rsp; other_rsp += 8.
                     self.emit_other_rsp_ptr(t1, protected);
                     self.gadget(GadgetOp::MovRR(t2, Reg::Rbp), protected, pf);
@@ -1080,11 +1080,13 @@ impl<'a> Crafter<'a> {
     /// of Fig. 4.
     fn lower_call(&mut self, callee: u64, live_after: RegSet) -> Result<(), RewriteError> {
         // Registers that must survive until control reaches the callee: the
-        // argument registers plus whatever callee-saved state outlives the
-        // call. Caller-saved registers (rax, r10, r11, …) are clobbered by
-        // the call anyway, so they are fair game as scratch.
-        let mut avoid = RegSet::from_regs(Reg::ARGS);
-        avoid = avoid.union(live_after.difference(RegSet::from_regs(Reg::CALLER_SAVED)));
+        // argument registers it reads plus whatever callee-saved state
+        // outlives the call. Caller-saved registers (rax, r10, r11, …) are
+        // clobbered by the call anyway, so they are fair game as scratch.
+        let avoid = self
+            .args
+            .reads(callee)
+            .union(live_after.difference(RegSet::from_regs(Reg::CALLER_SAVED)));
         let [t1, t2, t3] = self.pick_scratch(avoid)?;
 
         // Step A: t1 = &other_rsp.

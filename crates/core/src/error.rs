@@ -25,8 +25,8 @@ pub enum RewriteError {
         /// Bytes required by the pivot stub.
         needed: u64,
     },
-    /// Register pressure exceeded the spill capacity while lowering an
-    /// instruction.
+    /// Lowering an instruction needed more scratch registers than liveness
+    /// leaves free (the rewriter does not spill).
     RegisterPressure {
         /// Address of the instruction that could not be lowered.
         addr: u64,
@@ -99,7 +99,7 @@ impl From<AsmError> for RewriteError {
 /// Coarse failure classes used by the deployability experiment (§VII-C1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum FailureClass {
-    /// Register allocation ran out of spill capacity.
+    /// Lowering ran out of free scratch registers.
     RegisterPressure,
     /// An instruction shape the translator does not handle.
     UnsupportedInstruction,

@@ -74,7 +74,6 @@ pub mod chain;
 pub mod config;
 pub mod craft;
 pub mod error;
-pub mod lint;
 pub mod materialize;
 pub mod pipeline;
 pub mod predicates;
@@ -88,7 +87,6 @@ pub use chain::{Chain, ChainItem, ChainScratch, DeltaTarget, ResolvedChain, Swit
 pub use config::{P1Config, P3Variant, RopConfig};
 pub use craft::{CraftStats, Crafter};
 pub use error::{FailureClass, RewriteError};
-pub use lint::{lint_function, lint_program, RewriteLint};
 pub use materialize::{MaterializeCtx, Materialized};
 pub use pipeline::{
     AuditEntry, ObfConfig, ObfReport, PassReport, PassSpec, Pipeline, PipelineError, PipelineRun,
@@ -97,7 +95,7 @@ pub use pipeline::{
 pub use predicates::{P1Instance, P2Adjust, P2Operand, P3Policy};
 pub use rewriter::{ImageReport, RewriteReport, Rewriter};
 pub use roplet::{classify as classify_roplet, Roplet, RopletKind};
-pub use runtime::{RopRuntime, FUNC_RET_SYMBOL, SPILL_SYMBOL, SS_SYMBOL};
+pub use runtime::{RopRuntime, FUNC_RET_SYMBOL, SS_SYMBOL};
 pub use stable::{stable_hash_bytes, FieldBag, StableHasher};
 pub use verify::{
     audit_rop_function, audit_rop_image, audit_symbols, audit_vm_code, check_case, equivalent,

@@ -62,7 +62,6 @@
 
 use crate::config::{P3Variant, RopConfig};
 use crate::error::RewriteError;
-use crate::lint::{lint_program, RewriteLint};
 use crate::materialize::MaterializeCtx;
 use crate::rewriter::{ImageReport, Rewriter};
 use crate::stable::{FieldBag, StableHasher};
@@ -282,11 +281,6 @@ pub struct ObfReport {
     /// Static-audit findings, one entry per pass plus a final `"image"`
     /// entry (populated under [`VerifyPolicy::Static`], empty otherwise).
     pub audit: Vec<AuditEntry>,
-    /// Pre-flight source lints on the rewrite targets (populated under
-    /// [`VerifyPolicy::Static`] when the input was a program). Lints are
-    /// advisory — they predict per-target rewrite failures, they do not
-    /// make [`ObfReport::audit_clean`] false.
-    pub lints: Vec<RewriteLint>,
     /// Wall-clock time of the source→image compilation step (zero when the
     /// input was already an image).
     pub compile_wall: Duration,
@@ -360,8 +354,7 @@ pub enum VerifyPolicy {
     /// Zero-emulation static audit: every emitted chain is re-resolved and
     /// checked gadget-by-gadget, every VM bytecode blob byte-compared and
     /// re-decoded, and the symbol table bounds-checked — populating
-    /// [`ObfReport::audit`] (and, for program inputs, pre-flight
-    /// [`ObfReport::lints`]) instead of running test cases. See
+    /// [`ObfReport::audit`] instead of running test cases. See
     /// [`ObfReport::audit_clean`].
     Static,
 }
@@ -474,7 +467,6 @@ impl PassSpec {
                     .put_f64("synth_junk_prob", cfg.catalog.synth.junk_prob);
                 bag.put_bag("catalog", &catalog);
                 bag.put_u64("max_rop_depth", cfg.max_rop_depth as u64);
-                bag.put_u64("spill_slots", cfg.spill_slots as u64);
             }
             PassSpec::Vm(cfg) => {
                 bag.put_str("kind", "vm");
@@ -765,13 +757,6 @@ impl Pipeline {
         let total_start = Instant::now();
         let targets = check_targets(targets, |t| program.function(t).is_some())?;
 
-        // Pre-flight lint under the static policy: flag target shapes the
-        // rewriter is known to mishandle before any pass runs.
-        let lints = match self.verify {
-            VerifyPolicy::Static => lint_program(program, &targets),
-            _ => Vec::new(),
-        };
-
         let passes = &self.config.passes;
         let mut working = program.clone();
         let mut failures: Vec<(String, TargetError)> = Vec::new();
@@ -878,7 +863,6 @@ impl Pipeline {
             failures,
             verify,
             audit: Vec::new(),
-            lints,
             compile_wall,
             verify_wall,
             total_wall: Duration::ZERO,
@@ -965,7 +949,6 @@ impl Pipeline {
             failures,
             verify,
             audit: Vec::new(),
-            lints: Vec::new(),
             compile_wall: Duration::ZERO,
             verify_wall,
             total_wall: Duration::ZERO,
@@ -1159,7 +1142,6 @@ mod tests {
                 "{label}: {:?}",
                 run.report.audit_diagnostics().collect::<Vec<_>>()
             );
-            assert!(run.report.lints.is_empty(), "{label}");
         }
     }
 
@@ -1204,7 +1186,9 @@ mod tests {
     }
 
     #[test]
-    fn static_policy_lints_zero_arg_call_targets() {
+    fn static_policy_rewrites_zero_arg_call_targets() {
+        // A call to a zero-argument callee keeps no argument register live,
+        // so the caller has scratch registers to spare.
         let mut p = sample_program();
         p = p.with_function(Function {
             name: "zero".into(),
@@ -1216,24 +1200,21 @@ mod tests {
             name: "caller".into(),
             params: 1,
             locals: 0,
-            body: vec![Stmt::Return(Expr::Call("zero".into(), vec![]))],
+            body: vec![Stmt::Return(Expr::bin(
+                BinOp::Add,
+                Expr::Call("zero".into(), vec![]),
+                Expr::bin(BinOp::Mul, Expr::Call("zero".into(), vec![]), Expr::Arg(0)),
+            ))],
         });
-        let run = ObfConfig::new()
-            .rop(RopConfig::plain())
-            .pipeline(1)
-            .verify(VerifyPolicy::Static)
-            .run_program(&p, &["caller"])
-            .unwrap();
-        assert_eq!(
-            run.report.lints,
-            vec![crate::lint::RewriteLint::ZeroArgCall {
-                function: "caller".into(),
-                callee: "zero".into(),
-                sites: 1,
-            }]
-        );
-        // The lint predicted the mid-rewrite failure.
-        assert!(!run.report.failures.is_empty());
+        let config = ObfConfig::new().rop(RopConfig::plain());
+        let run =
+            config.pipeline(1).verify(VerifyPolicy::Static).run_program(&p, &["caller"]).unwrap();
+        assert!(run.report.failures.is_empty(), "{:?}", run.report.failures);
+        let diagnostics: Vec<_> = run.report.audit_diagnostics().collect();
+        assert!(run.report.audit_clean(), "{diagnostics:?}");
+        let run =
+            config.pipeline(1).verify(VerifyPolicy::Batch).run_program(&p, &["caller"]).unwrap();
+        assert!(run.report.all_verified(), "{:?}", run.report.verify);
     }
 
     #[test]
@@ -1383,7 +1364,7 @@ mod tests {
 
         // And the hash itself is pinned, so a format change (which would
         // silently remap every stored artifact) fails loudly here.
-        assert_eq!(base.config_hash(), 0x0719_f939_7885_37ff_bc78_3fad_7764_900b_u128);
+        assert_eq!(base.config_hash(), 0x0d58_ad0a_ced5_1158_812b_ab4d_90b1_a359_u128);
     }
 
     #[test]

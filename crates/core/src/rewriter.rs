@@ -3,14 +3,16 @@
 //! `Rewriter` owns the per-image state shared by every rewritten function
 //! (gadget catalog, stack-switching runtime) and runs the full pipeline per
 //! function: CFG reconstruction → liveness / input-derived analysis →
-//! translation + chain crafting → materialization.
+//! translation + chain crafting → materialization. The argument registers
+//! each callee reads are kept per image ([`ArgSummary`]), so a call keeps
+//! live only the registers its callee actually reads.
 
 use crate::config::RopConfig;
 use crate::craft::{CraftStats, Crafter};
 use crate::error::RewriteError;
 use crate::materialize::{MaterializeCtx, Materialized};
 use crate::runtime::RopRuntime;
-use raindrop_analysis::{cfg, dataflow, liveness};
+use raindrop_analysis::{dataflow, liveness, ArgSummary};
 use raindrop_gadgets::{GadgetCatalog, GadgetStats};
 use raindrop_machine::{Image, Reg, RegSet};
 use serde::{Deserialize, Serialize};
@@ -67,11 +69,19 @@ impl ImageReport {
 }
 
 /// Per-image state installed into the image on the first rewrite: the
-/// stack-switching runtime and the gadget catalog seeded from the gadgets
-/// already present in unobfuscated code.
+/// stack-switching runtime, the gadget catalog seeded from the gadgets
+/// already present in unobfuscated code, and the argument registers the
+/// functions reachable from the rewritten ones read.
 struct Attached {
     runtime: RopRuntime,
     catalog: GadgetCatalog,
+    args: ArgSummary,
+}
+
+/// Whether an earlier ROP pass replaced `name` by a pivot stub: its chain's
+/// argument reads are no longer in the text.
+fn rewritten_by_earlier_pass(image: &Image, name: &str) -> bool {
+    image.symbols.contains_key(&format!("__rop_chain_{name}"))
 }
 
 /// The ROP rewriter.
@@ -109,7 +119,7 @@ impl Rewriter {
             None => {
                 let runtime = RopRuntime::install(image, &self.config);
                 let catalog = GadgetCatalog::from_image(image, self.config.catalog);
-                self.attached = Some(Attached { runtime, catalog });
+                self.attached = Some(Attached { runtime, catalog, args: ArgSummary::default() });
             }
             Some(att) => {
                 assert_eq!(
@@ -140,12 +150,6 @@ impl Rewriter {
     /// rewriter.
     pub fn take_mat_ctx(&mut self) -> MaterializeCtx {
         std::mem::take(&mut self.mat)
-    }
-
-    /// The runtime installed into the image, once a `rewrite_*` call has
-    /// attached the rewriter to one.
-    pub fn runtime(&self) -> Option<&RopRuntime> {
-        self.attached.as_ref().map(|a| &a.runtime)
     }
 
     /// Gadget-pool statistics accumulated so far (zero before the first
@@ -188,8 +192,10 @@ impl Rewriter {
         // (§IV-A1).
         att.catalog.retire_range(func.addr, func.addr + func.size);
 
-        let graph = cfg::reconstruct(image, name)?;
-        let live = liveness::analyze(&graph);
+        // Every function this rewriter replaced was covered before its body
+        // became a pivot stub; one an earlier pass replaced reads all six.
+        let graph = att.args.cover(image, name, |f| rewritten_by_earlier_pass(image, f))?;
+        let live = liveness::analyze(&graph, &att.args);
         let derived = dataflow::input_derived(&graph, RegSet::from_regs(Reg::ARGS));
 
         // Derive a per-function seed so each function gets independent (but
@@ -204,6 +210,7 @@ impl Rewriter {
             &graph,
             &live,
             &derived,
+            &att.args,
             seed,
         );
         let (chain, stats, _p1) = crafter.craft()?;
@@ -347,6 +354,71 @@ mod tests {
         // `second` never saw the runtime install; the attach check must
         // refuse to treat it as the attached image.
         let _ = rw.rewrite_functions(&mut second, ["f"]);
+    }
+
+    /// `f` keeps every register but `rax` live across `add rax, 5`, whose
+    /// lowering needs a scratch register for the immediate.
+    fn pressure_image() -> Image {
+        let regs = Reg::ALL.into_iter().filter(|r| !matches!(r, Reg::Rax | Reg::Rsp));
+        let mut a = Assembler::new();
+        for (i, r) in regs.clone().enumerate() {
+            a.inst(Inst::MovRI(r, i as i64));
+        }
+        a.inst(Inst::MovRI(Reg::Rax, 0)).inst(Inst::AluI(AluOp::Add, Reg::Rax, 5));
+        for r in regs {
+            a.inst(Inst::Alu(AluOp::Add, Reg::Rax, r));
+        }
+        a.inst(Inst::Ret);
+        let mut b = raindrop_machine::ImageBuilder::new();
+        b.add_function("f", a);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn register_pressure_names_the_instruction_that_could_not_be_lowered() {
+        let corpus = raindrop_synth::corpus::generate(120, 8);
+        let pressure = corpus.names_of(raindrop_synth::CorpusKind::RegisterPressure);
+        let cases = pressure.into_iter().map(|name| (corpus.image.clone(), name));
+        for (mut img, name) in cases.chain([(pressure_image(), "f")]) {
+            let f = img.function(name).unwrap().clone();
+            let err = Rewriter::new(RopConfig::full()).rewrite_function(&mut img, name);
+            let Err(RewriteError::RegisterPressure { addr }) = err else {
+                panic!("{name}: expected register pressure, got {err:?}");
+            };
+            assert!(addr > f.addr && addr < f.addr + f.size, "{name}: {addr:#x} not in body");
+        }
+    }
+
+    #[test]
+    fn the_argument_summary_recovers_codegen_arity() {
+        use raindrop_synth::minic::{BinOp, Expr, Function, Program, Stmt};
+        // `f{n}` returns the sum of its `n` parameters.
+        let program = (0..=6).fold(Program::new(), |p, params| {
+            let sum = (0..params).fold(Expr::c(1), |e, i| Expr::bin(BinOp::Add, e, Expr::Arg(i)));
+            let body = vec![Stmt::Return(sum)];
+            p.with_function(Function { name: format!("f{params}"), params, locals: 0, body })
+        });
+        let img = raindrop_synth::codegen::compile(&program).unwrap();
+        let mut args = ArgSummary::default();
+        for params in 0..=6 {
+            let name = format!("f{params}");
+            args.cover(&img, &name, |_| false).unwrap();
+            let addr = img.function(&name).unwrap().addr;
+            assert_eq!(args.reads(addr), RegSet::from_regs(Reg::ARGS[..params].iter().copied()));
+        }
+    }
+
+    #[test]
+    fn a_callee_an_earlier_pass_rewrote_reads_every_argument() {
+        let mut img = sample_image();
+        let reads = |img: &Image| {
+            let mut args = ArgSummary::default();
+            args.cover(img, "f", |name| rewritten_by_earlier_pass(img, name)).unwrap();
+            args.reads(img.function("f").unwrap().addr)
+        };
+        assert_eq!(reads(&img), RegSet::from_regs([Reg::Rdi, Reg::Rsi]));
+        Rewriter::new(RopConfig::plain()).rewrite_function(&mut img, "f").unwrap();
+        assert_eq!(reads(&img), RegSet::from_regs(Reg::ARGS));
     }
 
     #[test]

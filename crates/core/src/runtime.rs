@@ -13,8 +13,6 @@ use raindrop_machine::{encode_all, AluOp, Image, Inst, Mem, Reg};
 
 /// Symbol name of the stack-switching array.
 pub const SS_SYMBOL: &str = "__rop_ss";
-/// Symbol name of the spill-slot area.
-pub const SPILL_SYMBOL: &str = "__rop_spill";
 /// Symbol name of the function-return gadget.
 pub const FUNC_RET_SYMBOL: &str = "__rop_func_ret";
 
@@ -23,10 +21,6 @@ pub const FUNC_RET_SYMBOL: &str = "__rop_func_ret";
 pub struct RopRuntime {
     /// Address of the stack-switching array `ss`.
     pub ss_addr: u64,
-    /// Address of the spill-slot area used by the register allocator.
-    pub spill_addr: u64,
-    /// Number of spill slots available.
-    pub spill_slots: usize,
     /// Address of the function-return gadget used to resume a chain after a
     /// native call returns.
     pub func_ret_gadget: u64,
@@ -43,12 +37,6 @@ impl RopRuntime {
                 image.append_data(Some(SS_SYMBOL), &vec![0u8; size])
             }
         };
-        let spill_addr = match image.symbol(SPILL_SYMBOL) {
-            Ok(a) => a,
-            Err(_) => {
-                image.append_data(Some(SPILL_SYMBOL), &vec![0u8; config.spill_slots.max(1) * 8])
-            }
-        };
         let func_ret_gadget = match image.symbol(FUNC_RET_SYMBOL) {
             Ok(a) => a,
             Err(_) => {
@@ -56,17 +44,7 @@ impl RopRuntime {
                 image.append_text(Some(FUNC_RET_SYMBOL), &bytes)
             }
         };
-        RopRuntime { ss_addr, spill_addr, spill_slots: config.spill_slots.max(1), func_ret_gadget }
-    }
-
-    /// Address of spill slot `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is outside the configured spill area.
-    pub fn spill_slot(&self, i: usize) -> u64 {
-        assert!(i < self.spill_slots, "spill slot {i} out of range");
-        self.spill_addr + (i as u64) * 8
+        RopRuntime { ss_addr, func_ret_gadget }
     }
 
     /// The native pivot stub that replaces a rewritten function's body
@@ -142,23 +120,6 @@ mod tests {
         assert_eq!(img.size(), size_after_first, "second install adds nothing");
         assert!(img.in_data(rt1.ss_addr));
         assert!(img.in_text(rt1.func_ret_gadget));
-    }
-
-    #[test]
-    fn spill_slots_are_consecutive() {
-        let mut img = base_image();
-        let cfg = RopConfig { spill_slots: 3, ..RopConfig::default() };
-        let rt = RopRuntime::install(&mut img, &cfg);
-        assert_eq!(rt.spill_slot(1), rt.spill_slot(0) + 8);
-        assert_eq!(rt.spill_slot(2), rt.spill_slot(0) + 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_spill_slot_panics() {
-        let mut img = base_image();
-        let rt = RopRuntime::install(&mut img, &RopConfig::default());
-        let _ = rt.spill_slot(99);
     }
 
     #[test]

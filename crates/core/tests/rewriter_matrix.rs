@@ -433,7 +433,6 @@ fn the_runtime_is_installed_once_and_reused() {
     assert_eq!(img.text.len(), text_len);
     assert_eq!(img.data.len(), data_len);
     assert!(img.in_data(rt1.ss_addr));
-    assert!(img.in_data(rt1.spill_addr));
     assert!(img.in_text(rt1.func_ret_gadget));
 }
 
@@ -443,18 +442,6 @@ fn the_pivot_stub_length_constant_matches_the_emitted_stub() {
     let rt = RopRuntime::install(&mut img, &RopConfig::default());
     let stub = rt.pivot_stub(0x40_1234);
     assert_eq!(stub.len() as u64, RopRuntime::pivot_stub_len());
-}
-
-#[test]
-fn spill_slots_are_consecutive_and_bounded() {
-    let mut img = single_function_image("f", f_diamond);
-    let cfg = RopConfig { spill_slots: 4, ..RopConfig::default() };
-    let rt = RopRuntime::install(&mut img, &cfg);
-    for i in 0..4 {
-        assert_eq!(rt.spill_slot(i), rt.spill_addr + 8 * i as u64);
-    }
-    let res = std::panic::catch_unwind(|| rt.spill_slot(4));
-    assert!(res.is_err(), "out-of-range spill slots are rejected");
 }
 
 // --- property test: random straight-line + branch functions ------------------------

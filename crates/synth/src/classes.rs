@@ -765,10 +765,7 @@ fn smc_program(rng: &mut ChaCha8Rng, cadence: i64) -> ClassProgram {
     let s0 = rng.gen::<u64>() as i64;
     let iters = 8 + rng.gen_range(0..8i64);
 
-    // smc_cell takes one (ignored) argument: the ROP translator cannot
-    // rewrite callers of zero-argument functions (every argument register
-    // stays live across the call, exceeding its scratch budget).
-    let cell = func("smc_cell", 1, 0, vec![ret(c(sentinel as i64))]);
+    let cell = func("smc_cell", 0, 0, vec![ret(c(sentinel as i64))]);
     let lcg_step = assign(3, add(mul(v(3), c(a)), c(bconst)));
     let store = Stmt::Store(v(2), v(3));
     let patch: Vec<Stmt> = if cadence == 1 {
@@ -792,7 +789,7 @@ fn smc_program(rng: &mut ChaCha8Rng, cadence: i64) -> ClassProgram {
                     vec![lcg_step],
                     patch,
                     vec![
-                        assign(0, add(mul(v(0), c(31)), call("smc_cell", vec![v(1)]))),
+                        assign(0, add(mul(v(0), c(31)), call("smc_cell", vec![]))),
                         assign(1, add(v(1), c(1))),
                     ],
                 ]

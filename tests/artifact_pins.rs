@@ -44,36 +44,36 @@ fn programs() -> [Workload; 3] {
 
 /// `(program, configuration label, seed, stable hash of the encoded image)`.
 const PINS: &[(&str, &str, u64, u128)] = &[
-    ("pidigits", "ROP1.00", 1, 0xf9c5_c611_3061_1e7a_730e_295a_4444_1bc4),
-    ("pidigits", "ROP1.00", 2, 0x23e8_d09c_e6ed_ba1d_810e_199a_7e94_0a12),
-    ("pidigits", "ROP0.25", 1, 0x5231_c0a4_28ff_8392_d2a6_3c41_6bb4_e881),
-    ("pidigits", "ROP0.25", 2, 0x6334_c4b6_3d41_6776_50aa_a143_84a0_f598),
+    ("pidigits", "ROP1.00", 1, 0x25c0_75e3_adca_5520_b747_3cc4_f64a_572a),
+    ("pidigits", "ROP1.00", 2, 0x7e91_24df_3dbf_b0bf_b1b9_ee51_ea13_9cf4),
+    ("pidigits", "ROP0.25", 1, 0xf709_5ada_5e5e_82bc_14b9_5fce_c905_b111),
+    ("pidigits", "ROP0.25", 2, 0x56ed_f86c_9947_dbe5_05b1_1a2c_28f0_f306),
     ("pidigits", "2VM-IMPlast", 1, 0x5ffa_0571_66e7_71b8_fd24_2cf2_99b5_5ece),
     ("pidigits", "2VM-IMPlast", 2, 0xc932_a0f8_7f96_4d5a_82a8_6528_0fac_4ea0),
-    ("pidigits", "ROP1.00-over-1VM", 1, 0x6ac2_c6c3_31fc_ad63_489e_2586_ed53_8aa1),
-    ("pidigits", "ROP1.00-over-1VM", 2, 0x493d_bb08_5d4e_1f1e_aa63_b658_5ccf_d599),
-    ("pidigits", "1VM-over-ROP1.00", 1, 0x0668_d123_acfc_46ef_c5d9_b24c_521e_cd38),
-    ("pidigits", "1VM-over-ROP1.00", 2, 0x08b9_0a61_f891_b5c2_c1f7_e09e_dcf4_d801),
-    ("depth-switch", "ROP1.00", 1, 0x17e2_ea66_988b_1cbd_a488_19bc_4ee2_f5ab),
-    ("depth-switch", "ROP1.00", 2, 0xef11_877b_882d_46e8_89d0_6bf1_e44d_29a2),
-    ("depth-switch", "ROP0.25", 1, 0xca82_7559_b036_adfa_95d1_12b4_8489_bdeb),
-    ("depth-switch", "ROP0.25", 2, 0x663b_e413_2634_6b04_ba65_1d4b_98d6_549e),
+    ("pidigits", "ROP1.00-over-1VM", 1, 0x4cd1_fa5c_8304_b2f3_1523_be66_3ae9_9bd8),
+    ("pidigits", "ROP1.00-over-1VM", 2, 0x45ee_bb15_ebac_ceec_3600_2c54_2edc_f3e0),
+    ("pidigits", "1VM-over-ROP1.00", 1, 0x52f9_6ca7_7f57_0251_f291_af42_f265_aa14),
+    ("pidigits", "1VM-over-ROP1.00", 2, 0x3730_73ce_22eb_0606_f68d_c187_321d_460f),
+    ("depth-switch", "ROP1.00", 1, 0xea2b_ff46_25ed_afdf_c6a4_112e_2737_8cf2),
+    ("depth-switch", "ROP1.00", 2, 0x5955_5ba9_f50c_fc2b_d897_33ca_6b40_77ee),
+    ("depth-switch", "ROP0.25", 1, 0x1fe4_d622_4e92_1964_6347_e31a_aa6d_a5e9),
+    ("depth-switch", "ROP0.25", 2, 0xebfd_2538_d4a4_8a60_51ca_0894_891a_3872),
     ("depth-switch", "2VM-IMPlast", 1, 0x2508_ef5b_b861_abc5_597f_1efb_50e9_05cb),
     ("depth-switch", "2VM-IMPlast", 2, 0xd428_46d2_462f_90b7_ed0d_a020_8b74_4f5e),
-    ("depth-switch", "ROP1.00-over-1VM", 1, 0x9169_2193_87dd_f991_899c_6f9f_ac5f_3fb3),
-    ("depth-switch", "ROP1.00-over-1VM", 2, 0xe93f_c2e1_20fb_0a8c_ad8c_89ed_d4ae_878c),
-    ("depth-switch", "1VM-over-ROP1.00", 1, 0xb563_8403_48c5_073a_25e8_65fa_f687_76a6),
-    ("depth-switch", "1VM-over-ROP1.00", 2, 0xd1b6_8fb4_734e_b474_8d21_9ba0_490a_bcb0),
-    ("smc-cadence1", "ROP1.00", 1, 0xc6ba_5e86_d42c_5d56_83ad_bb22_4320_c086),
-    ("smc-cadence1", "ROP1.00", 2, 0xdcd3_f9e7_a149_e498_488b_507c_1e03_4215),
-    ("smc-cadence1", "ROP0.25", 1, 0xf6ed_057e_82c7_97cf_eaee_dda1_5403_5488),
-    ("smc-cadence1", "ROP0.25", 2, 0x03ed_3b4f_d5f3_6d08_c91b_c7c0_617a_fe98),
-    ("smc-cadence1", "2VM-IMPlast", 1, 0x6e5a_4bf7_7358_ba06_6a96_bea2_0533_09c9),
-    ("smc-cadence1", "2VM-IMPlast", 2, 0xbc14_93b9_7e0d_65a1_67f7_4b2a_3339_52fa),
-    ("smc-cadence1", "ROP1.00-over-1VM", 1, 0xc19c_e814_8305_8943_ef76_5127_3876_e678),
-    ("smc-cadence1", "ROP1.00-over-1VM", 2, 0x1480_4c86_016a_1fae_6482_578c_a4c3_e099),
-    ("smc-cadence1", "1VM-over-ROP1.00", 1, 0x1639_8c6c_5724_c8ae_230a_1117_48ce_ece1),
-    ("smc-cadence1", "1VM-over-ROP1.00", 2, 0x267a_eef6_cc70_1b48_c8a1_b8a6_cc92_b6a5),
+    ("depth-switch", "ROP1.00-over-1VM", 1, 0x4986_f7f2_d9fc_54e0_80ff_ea87_ea9b_8521),
+    ("depth-switch", "ROP1.00-over-1VM", 2, 0xe253_0373_7384_840a_9da5_ff5e_e8b4_c420),
+    ("depth-switch", "1VM-over-ROP1.00", 1, 0x1f87_b7e3_1382_e016_4623_acc1_c06b_131c),
+    ("depth-switch", "1VM-over-ROP1.00", 2, 0x9e93_b5fd_ee29_1975_5e7a_ddb8_c677_0cb6),
+    ("smc-cadence1", "ROP1.00", 1, 0xaeaa_2db2_f40b_f07c_963a_cd3c_bcaf_706c),
+    ("smc-cadence1", "ROP1.00", 2, 0xb769_7ec8_465e_508d_037b_2041_d744_2fc4),
+    ("smc-cadence1", "ROP0.25", 1, 0xf9c6_df78_f950_3446_2f9d_b84a_b7b1_7554),
+    ("smc-cadence1", "ROP0.25", 2, 0xc94f_f281_1300_4fba_3632_e118_3a04_a5ec),
+    ("smc-cadence1", "2VM-IMPlast", 1, 0x3667_9456_efe7_a3b8_c141_ee31_36b6_81bf),
+    ("smc-cadence1", "2VM-IMPlast", 2, 0xdc27_238e_f10e_d659_a21c_1a49_642f_6d67),
+    ("smc-cadence1", "ROP1.00-over-1VM", 1, 0x0844_c7cb_0b5e_730d_d55f_16cf_898e_bec2),
+    ("smc-cadence1", "ROP1.00-over-1VM", 2, 0x91ac_fc96_fa97_acd1_6821_33e1_84f6_1220),
+    ("smc-cadence1", "1VM-over-ROP1.00", 1, 0xf131_1207_d150_4801_8dee_a992_527d_dde0),
+    ("smc-cadence1", "1VM-over-ROP1.00", 2, 0x47f2_3075_8fd2_5c16_c9bd_4ac3_e3c1_b150),
 ];
 
 #[test]

@@ -66,12 +66,6 @@ fn every_class_and_composition_audits_clean() {
                     kind.label(),
                     run.report.audit_diagnostics().collect::<Vec<_>>()
                 );
-                assert!(
-                    run.report.lints.is_empty(),
-                    "{}/{}: corpus programs carry the zero-arg workaround",
-                    class.name(),
-                    w.name
-                );
             }
         }
     }
