@@ -360,9 +360,7 @@ pub fn reconstruct_from_code(image: &Image, func: &FuncCode) -> Result<Cfg, CfgE
                 }
             }
             Inst::JmpReg(_) => {
-                // Tail jumps to other functions are inter-procedural: they
-                // terminate the block like a return. An intra-procedural
-                // `jmp reg` not backed by a recognizable table is rejected.
+                // A `jmp reg` has no statically known target: reject the function.
                 return Err(CfgError::UnresolvedIndirectJump { addr: *addr });
             }
             Inst::Ret | Inst::Hlt if next < end_addr => {
@@ -387,11 +385,7 @@ pub fn reconstruct_from_code(image: &Image, func: &FuncCode) -> Result<Cfg, CfgE
         let insts = func.insts[first..stop].to_vec();
         let last = insts.last().cloned();
         let term = match last {
-            Some((addr, Inst::Ret)) | Some((addr, Inst::Hlt)) => {
-                let _ = addr;
-                Terminator::Return
-            }
-            Some((_, Inst::JmpReg(_))) => Terminator::Return,
+            Some((_, Inst::Ret | Inst::Hlt)) => Terminator::Return,
             Some((addr, Inst::Jmp(rel))) => {
                 let next = addr + raindrop_machine::encoded_len(&Inst::Jmp(rel)) as u64;
                 let t = next.wrapping_add(rel as i64 as u64);

@@ -56,7 +56,7 @@ use crate::concolic::{DseAttack, DseAudit, DseExplorer, DseFrontier, DseOutcome}
 use crate::fleet::{workers_from_env, DseJob};
 use raindrop::stable_hash_bytes;
 use raindrop_sched::{panic_message, JobHandle, Scheduler};
-use raindrop_server::codec::encode_image;
+use raindrop_server::encode_image;
 use raindrop_server::recfile::{self, FramedReader};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

@@ -45,10 +45,12 @@ pub struct Image {
     /// Load address of `.text`.
     pub text_base: u64,
     /// Raw bytes of `.text`.
+    #[serde(bytes)]
     pub text: Vec<u8>,
     /// Load address of `.data`.
     pub data_base: u64,
     /// Raw bytes of `.data`.
+    #[serde(bytes)]
     pub data: Vec<u8>,
     /// Global symbol table (functions and data objects).
     pub symbols: BTreeMap<String, u64>,

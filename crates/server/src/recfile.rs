@@ -1,4 +1,5 @@
-//! Shared versioned, checksum-sealed record-file helpers.
+//! Shared versioned, checksum-framed record files and the one binary
+//! encoding of durable state.
 //!
 //! Both durable formats in this workspace — the [`ArtifactStore`] index
 //! (`index.rds`/`blobs.rds`) and the attack-campaign checkpoint log — follow
@@ -10,15 +11,14 @@
 //!
 //! * [`stable_hash64`], [`write_header`], [`read_header`] — the shared
 //!   primitives;
-//! * [`seal_record`] / [`open_record`] — fixed-size records (the store's
-//!   index knows its record length out of band);
-//! * [`frame_record`] / [`FramedReader`] — length-prefixed variable-size
-//!   records (campaign checkpoints carry serialized frontiers of arbitrary
+//! * [`frame_record`] / [`FramedReader`] — length-prefixed records (store
+//!   index entries, campaign checkpoints carrying frontiers of arbitrary
 //!   size);
 //! * [`encode_value`] / [`decode_value`] — a canonical binary encoding of
 //!   the vendored-serde [`Value`] data model, so any
-//!   `Serialize + Deserialize` type can travel inside a record body
-//!   ([`encode_payload`] / [`decode_payload`]).
+//!   `Serialize + Deserialize` type can travel inside a record body or a
+//!   store blob ([`encode_payload`] / [`decode_payload`]). No other code in
+//!   the workspace lays out durable bytes.
 //!
 //! Corruption is always *local and fail-safe*: a record that does not
 //! checksum clean is indistinguishable from end-of-file, and a payload that
@@ -55,25 +55,6 @@ pub fn read_header(bytes: &[u8], magic: [u8; 4]) -> Option<u32> {
         return None;
     }
     Some(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
-}
-
-/// Seals a fixed-size record body with its trailing checksum. The caller
-/// owns the body layout; the on-disk record is `body ++ stable_hash64(body)`.
-pub fn seal_record(mut body: Vec<u8>) -> Vec<u8> {
-    let sum = stable_hash64(&body);
-    body.extend_from_slice(&sum.to_le_bytes());
-    body
-}
-
-/// Opens a fixed-size sealed record: verifies the trailing checksum and
-/// returns the body, or `None` for torn/damaged bytes.
-pub fn open_record(record: &[u8]) -> Option<&[u8]> {
-    if record.len() < 8 {
-        return None;
-    }
-    let (body, sum_bytes) = record.split_at(record.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    (stable_hash64(body) == stored).then_some(body)
 }
 
 /// Frames a variable-size record: `u32 len ++ body ++ stable_hash64(len ++ body)`.
@@ -141,14 +122,15 @@ const TAG_F64: u8 = 4;
 const TAG_STR: u8 = 5;
 const TAG_SEQ: u8 = 6;
 const TAG_MAP: u8 = 7;
+const TAG_BYTES: u8 = 8;
 
 /// Nesting depth cap for [`decode_value`]: deeper (i.e. corrupt) input
 /// errors instead of overflowing the stack.
 const MAX_DECODE_DEPTH: usize = 128;
 
 /// Appends the canonical binary encoding of `v` to `out`: a 1-byte tag,
-/// then little-endian scalars / `u32`-length-prefixed strings, sequences
-/// and maps. The encoding is deterministic — equal values encode to equal
+/// then little-endian scalars / `u32`-length-prefixed strings, byte
+/// strings, sequences and maps. The encoding is deterministic — equal values encode to equal
 /// bytes — which is what lets record contents participate in checksums
 /// and content hashes.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
@@ -189,12 +171,20 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
                 encode_value(v, out);
             }
         }
+        Value::Bytes(b) => {
+            out.push(TAG_BYTES);
+            put_bytes(b, out);
+        }
     }
 }
 
 fn put_str(s: &str, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+    put_bytes(s.as_bytes(), out);
+}
+
+fn put_bytes(b: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+    out.extend_from_slice(b);
 }
 
 /// Decodes a canonical binary [`Value`], requiring the buffer to be exactly
@@ -215,10 +205,13 @@ fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Option<&'a [u8]> {
     Some(slice)
 }
 
-fn take_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
+fn take_bytes<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
     let len = u32::from_le_bytes(take(bytes, pos, 4)?.try_into().expect("4 bytes")) as usize;
-    let raw = take(bytes, pos, len)?;
-    String::from_utf8(raw.to_vec()).ok()
+    take(bytes, pos, len)
+}
+
+fn take_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
+    String::from_utf8(take_bytes(bytes, pos)?.to_vec()).ok()
 }
 
 fn decode_at(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
@@ -243,6 +236,7 @@ fn decode_at(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
             take(bytes, pos, 8)?.try_into().expect("8 bytes"),
         )))),
         TAG_STR => take_str(bytes, pos).map(Value::Str),
+        TAG_BYTES => take_bytes(bytes, pos).map(|b| Value::Bytes(b.to_vec())),
         TAG_SEQ => {
             let count =
                 u32::from_le_bytes(take(bytes, pos, 4)?.try_into().expect("4 bytes")) as usize;
@@ -294,18 +288,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sealed_records_round_trip_and_reject_damage() {
-        let rec = seal_record(b"hello record".to_vec());
-        assert_eq!(open_record(&rec), Some(&b"hello record"[..]));
-        for i in 0..rec.len() {
-            let mut bad = rec.clone();
-            bad[i] ^= 0x40;
-            assert_eq!(open_record(&bad), None, "flipped byte {i} must not verify");
-        }
-        assert_eq!(open_record(&rec[..rec.len() - 1]), None, "truncated");
-    }
-
-    #[test]
     fn framed_replay_stops_at_first_bad_record() {
         let mut log = Vec::new();
         log.extend_from_slice(&frame_record(b"one"));
@@ -330,6 +312,18 @@ mod tests {
     }
 
     #[test]
+    fn framed_records_reject_any_flipped_byte() {
+        let rec = frame_record(b"hello record");
+        assert_eq!(FramedReader::new(&rec, 0).next(), Some(&b"hello record"[..]));
+        for i in 0..rec.len() {
+            let mut bad = rec.clone();
+            bad[i] ^= 0x40;
+            assert_eq!(FramedReader::new(&bad, 0).next(), None, "flipped byte {i} must not verify");
+        }
+        assert_eq!(FramedReader::new(&rec[..rec.len() - 1], 0).next(), None, "truncated");
+    }
+
+    #[test]
     fn value_codec_round_trips_every_variant() {
         let v = Value::Map(vec![
             ("null".into(), Value::Null),
@@ -340,10 +334,25 @@ mod tests {
             ("s".into(), Value::Str("héllo".into())),
             ("seq".into(), Value::Seq(vec![Value::U64(1), Value::Str("x".into())])),
             ("map".into(), Value::Map(vec![("k".into(), Value::I64(0))])),
+            ("bytes".into(), Value::Bytes(vec![0, 1, 255])),
         ]);
         let mut bytes = Vec::new();
         encode_value(&v, &mut bytes);
         assert_eq!(decode_value(&bytes), Some(v));
+    }
+
+    #[test]
+    fn byte_strings_round_trip_and_reject_overlong_lengths() {
+        for raw in [Vec::new(), (0..64 * 1024).map(|i| (i * 7) as u8).collect()] {
+            let v = Value::Bytes(raw);
+            let mut bytes = Vec::new();
+            encode_value(&v, &mut bytes);
+            assert_eq!(decode_value(&bytes), Some(v));
+        }
+        let mut past_end = vec![TAG_BYTES];
+        past_end.extend_from_slice(&4u32.to_le_bytes());
+        past_end.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(decode_value(&past_end), None, "length past the end");
     }
 
     #[test]

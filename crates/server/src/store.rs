@@ -5,34 +5,33 @@
 //! directory:
 //!
 //! ```text
-//! <dir>/index.rds   "RDSI" + u32 version, then append-only records:
-//!                   [tag][key][blob_off][blob_len][blob_hash][rec_hash]
-//!                   tag 1 = put, tag 2 = evict (offsets zero)
+//! <dir>/index.rds   "RDSI" + u32 version, then append-only framed records
+//!                   (recfile::frame_record), each the payload of
+//!                   Put { key, off, len, blob_hash } or Evict { key }
 //! <dir>/blobs.rds   "RDSB" + u32 version, then raw image blobs
-//!                   (see `codec`), appended back to back
+//!                   (recfile::encode_payload of the Image), back to back
 //! ```
 //!
-//! Every index record carries its own checksum (`rec_hash`) and the checksum
-//! of the blob it points at (`blob_hash`). Corruption is therefore *local*:
-//! a torn or damaged tail record stops replay at the last good record, a
-//! flipped blob byte fails its checksum on [`get`](ArtifactStore::get) —
-//! both surface as cache misses, never as wrong artifacts (pinned by the
-//! `store_roundtrip` suite).
+//! Every index record is sealed by its frame checksum and carries the
+//! checksum of the blob it points at (`blob_hash`). Corruption is therefore
+//! *local*: a torn or damaged tail record stops replay at the last good
+//! record, a flipped blob byte fails its checksum on
+//! [`get`](ArtifactStore::get) — both surface as cache misses, never as
+//! wrong artifacts (pinned by the `store_roundtrip` suite).
 //!
-//! The files are version-stamped. Opening a store written at an older
-//! version walks the [`Migration`] hooks registered for that version chain
-//! and rewrites the store at the current version; an unbridgeable version
-//! starts fresh (an artifact store is a cache — losing it costs time, not
-//! correctness).
+//! The files are version-stamped. A store written at any other version than
+//! [`STORE_VERSION`] opens empty and is rewritten at the current one: an
+//! artifact store is a cache, so losing it costs time, not correctness.
 //!
 //! Eviction is FIFO by insertion order, driven by a byte budget
 //! ([`StoreConfig::max_blob_bytes`]). Evict records only mark entries dead;
 //! [`compact`](ArtifactStore::compact) rewrites both files to drop dead
 //! bytes, and runs automatically when dead bytes outgrow live bytes.
 
-use crate::codec::{decode_image, encode_image};
-use crate::recfile::{self, stable_hash64};
+use crate::codec::encode_image;
+use crate::recfile::{self, read_header, stable_hash64, write_header, FramedReader};
 use raindrop_machine::Image;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -44,13 +43,7 @@ pub const INDEX_MAGIC: [u8; 4] = *b"RDSI";
 /// Magic prefix of `blobs.rds`.
 pub const BLOBS_MAGIC: [u8; 4] = *b"RDSB";
 /// Current on-disk store format version.
-pub const STORE_VERSION: u32 = 1;
-
-const TAG_PUT: u8 = 1;
-const TAG_EVICT: u8 = 2;
-/// tag + source(16) + config(16) + seed(8) + off(8) + len(8) + blob_hash(8)
-/// + rec_hash(8).
-const RECORD_LEN: usize = 1 + 16 + 16 + 8 + 8 + 8 + 8 + 8;
+pub const STORE_VERSION: u32 = 2;
 
 /// The cache key of one protection artifact.
 ///
@@ -60,7 +53,7 @@ const RECORD_LEN: usize = 1 + 16 + 16 + 8 + 8 + 8 + 8 + 8;
 /// * `config_hash` — [`raindrop::ObfConfig::config_hash`], which excludes
 ///   per-pass seeds;
 /// * `seed` — the request seed, threaded into every pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ArtifactKey {
     /// Stable hash of the source program + target list.
     pub source_hash: u128,
@@ -74,20 +67,6 @@ impl fmt::Display for ArtifactKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:032x}-{:032x}-{:016x}", self.source_hash, self.config_hash, self.seed)
     }
-}
-
-/// A migration hook bridging one store version to the next.
-///
-/// Registered hooks are applied in version order when an older store is
-/// opened: each live blob of a version-`source_version()` store is passed
-/// through [`migrate_blob`](Migration::migrate_blob) and the store is
-/// rewritten at `source_version() + 1`. Returning `None` drops that blob
-/// (it will be recomputed on demand — the store is a cache).
-pub trait Migration {
-    /// The store version this hook upgrades *from*.
-    fn source_version(&self) -> u32;
-    /// Rewrites one blob into the next version's format.
-    fn migrate_blob(&self, blob: &[u8]) -> Option<Vec<u8>>;
 }
 
 /// Store construction knobs.
@@ -182,92 +161,46 @@ pub struct ArtifactStore {
     stats: StoreStats,
 }
 
-fn encode_record(tag: u8, key: &ArtifactKey, off: u64, len: u64, blob_hash: u64) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(RECORD_LEN);
-    rec.push(tag);
-    rec.extend_from_slice(&key.source_hash.to_le_bytes());
-    rec.extend_from_slice(&key.config_hash.to_le_bytes());
-    rec.extend_from_slice(&key.seed.to_le_bytes());
-    rec.extend_from_slice(&off.to_le_bytes());
-    rec.extend_from_slice(&len.to_le_bytes());
-    rec.extend_from_slice(&blob_hash.to_le_bytes());
-    recfile::seal_record(rec)
+/// One `index.rds` record, framed by [`recfile::frame_record`].
+#[derive(Serialize, Deserialize)]
+enum IndexRecord {
+    /// `key`'s artifact is the blob at `off..off + len` of `blobs.rds`.
+    Put { key: ArtifactKey, off: u64, len: u64, blob_hash: u64 },
+    /// `key` is dead.
+    Evict { key: ArtifactKey },
 }
-
-/// A parsed index record.
-struct Record {
-    tag: u8,
-    key: ArtifactKey,
-    off: u64,
-    len: u64,
-    blob_hash: u64,
-}
-
-fn decode_record(bytes: &[u8]) -> Option<Record> {
-    if bytes.len() != RECORD_LEN {
-        return None;
-    }
-    let body = recfile::open_record(bytes)?;
-    let tag = body[0];
-    if tag != TAG_PUT && tag != TAG_EVICT {
-        return None;
-    }
-    let u128_at = |o: usize| u128::from_le_bytes(body[o..o + 16].try_into().expect("16 bytes"));
-    let u64_at = |o: usize| u64::from_le_bytes(body[o..o + 8].try_into().expect("8 bytes"));
-    Some(Record {
-        tag,
-        key: ArtifactKey { source_hash: u128_at(1), config_hash: u128_at(17), seed: u64_at(33) },
-        off: u64_at(41),
-        len: u64_at(49),
-        blob_hash: u64_at(57),
-    })
-}
-
-use recfile::{read_header, write_header};
 
 impl ArtifactStore {
-    /// Opens (or creates) a store in `dir` with no migrations registered.
+    /// Opens (or creates) a store in `dir`. A store written at another
+    /// format version restarts empty.
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<ArtifactStore, StoreError> {
-        ArtifactStore::open_with_migrations(dir, config, &[])
-    }
-
-    /// Opens (or creates) a store in `dir`. A store written at an older
-    /// format version is upgraded through `migrations` (see [`Migration`]);
-    /// with no bridging chain the store restarts empty.
-    pub fn open_with_migrations(
-        dir: impl AsRef<Path>,
-        config: StoreConfig,
-        migrations: &[&dyn Migration],
-    ) -> Result<ArtifactStore, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let index_path = dir.join("index.rds");
         let blobs_path = dir.join("blobs.rds");
 
         // Replay whatever is on disk (tolerating any corruption) into the
-        // in-memory table, migrating across versions if needed.
+        // in-memory table.
         let index_bytes = std::fs::read(&index_path).unwrap_or_default();
         let blob_bytes = std::fs::read(&blobs_path).unwrap_or_default();
-        let disk_version = read_header(&index_bytes, INDEX_MAGIC)
-            .filter(|v| read_header(&blob_bytes, BLOBS_MAGIC) == Some(*v));
         let mut replayed: Vec<(ArtifactKey, Vec<u8>)> = Vec::new();
-        if let Some(mut version) = disk_version {
+        if read_header(&index_bytes, INDEX_MAGIC) == Some(STORE_VERSION)
+            && read_header(&blob_bytes, BLOBS_MAGIC) == Some(STORE_VERSION)
+        {
             let mut live: BTreeMap<ArtifactKey, (u64, u64, u64)> = BTreeMap::new();
             let mut order: Vec<ArtifactKey> = Vec::new();
-            let mut pos = recfile::HEADER_LEN;
-            while pos + RECORD_LEN <= index_bytes.len() {
-                let Some(rec) = decode_record(&index_bytes[pos..pos + RECORD_LEN]) else {
-                    break; // torn/corrupt tail: everything after is a miss
+            for body in FramedReader::new(&index_bytes, recfile::HEADER_LEN) {
+                let Some(rec) = recfile::decode_payload::<IndexRecord>(body) else {
+                    break; // corrupt record: everything after is a miss
                 };
-                pos += RECORD_LEN;
-                match rec.tag {
-                    TAG_PUT => {
-                        if live.insert(rec.key, (rec.off, rec.len, rec.blob_hash)).is_none() {
-                            order.push(rec.key);
+                match rec {
+                    IndexRecord::Put { key, off, len, blob_hash } => {
+                        if live.insert(key, (off, len, blob_hash)).is_none() {
+                            order.push(key);
                         }
                     }
-                    _ => {
-                        live.remove(&rec.key);
+                    IndexRecord::Evict { key } => {
+                        live.remove(&key);
                     }
                 }
             }
@@ -282,26 +215,6 @@ impl ArtifactStore {
                     continue; // damaged blob: miss
                 }
                 replayed.push((key, blob.to_vec()));
-            }
-            // Walk the migration chain up to the current version; a gap in
-            // the chain abandons the old contents (cache, not database).
-            while version < STORE_VERSION {
-                match migrations.iter().find(|m| m.source_version() == version) {
-                    Some(m) => {
-                        replayed = replayed
-                            .into_iter()
-                            .filter_map(|(k, blob)| m.migrate_blob(&blob).map(|b| (k, b)))
-                            .collect();
-                        version += 1;
-                    }
-                    None => {
-                        replayed.clear();
-                        break;
-                    }
-                }
-            }
-            if version > STORE_VERSION {
-                replayed.clear(); // written by a future format
             }
         }
 
@@ -352,13 +265,22 @@ impl ArtifactStore {
         self.entries.values().map(|e| e.len).sum()
     }
 
+    fn append_record(&mut self, rec: &IndexRecord) -> Result<(), StoreError> {
+        self.index.seek(SeekFrom::End(0))?;
+        self.index.write_all(&recfile::frame_record(&recfile::encode_payload(rec)))?;
+        Ok(())
+    }
+
     fn append_blob(&mut self, key: &ArtifactKey, blob: &[u8]) -> Result<(), StoreError> {
         let off = self.blobs.seek(SeekFrom::End(0))?;
         self.blobs.write_all(blob)?;
         let blob_hash = stable_hash64(blob);
-        let rec = encode_record(TAG_PUT, key, off, blob.len() as u64, blob_hash);
-        self.index.seek(SeekFrom::End(0))?;
-        self.index.write_all(&rec)?;
+        self.append_record(&IndexRecord::Put {
+            key: *key,
+            off,
+            len: blob.len() as u64,
+            blob_hash,
+        })?;
         let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(old) =
@@ -400,9 +322,7 @@ impl ArtifactStore {
     /// [`compact`](ArtifactStore::compact)).
     pub fn evict(&mut self, key: &ArtifactKey) -> Result<bool, StoreError> {
         let Some(entry) = self.entries.remove(key) else { return Ok(false) };
-        let rec = encode_record(TAG_EVICT, key, 0, 0, 0);
-        self.index.seek(SeekFrom::End(0))?;
-        self.index.write_all(&rec)?;
+        self.append_record(&IndexRecord::Evict { key: *key })?;
         self.stats.dead_bytes += entry.len;
         self.stats.evictions += 1;
         self.stats.live_entries = self.entries.len() as u64;
@@ -425,7 +345,7 @@ impl ArtifactStore {
             .and_then(|_| self.blobs.read_exact(&mut blob))
             .is_ok();
         let image = if ok && stable_hash64(&blob) == entry.blob_hash {
-            decode_image(&blob).ok()
+            recfile::decode_payload::<Image>(&blob)
         } else {
             None
         };

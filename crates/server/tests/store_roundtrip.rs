@@ -6,7 +6,7 @@ use raindrop::pipeline::ObfConfig;
 use raindrop::RopConfig;
 use raindrop_machine::Image;
 use raindrop_obfvm::VmConfig;
-use raindrop_server::{ArtifactKey, ArtifactStore, Migration, StoreConfig};
+use raindrop_server::{ArtifactKey, ArtifactStore, StoreConfig, STORE_VERSION};
 use raindrop_synth::minic::{BinOp, Expr, Function, Program, Stmt};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -166,52 +166,28 @@ fn byte_budget_evicts_fifo_and_compaction_reclaims_space() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An identity migration from version 0 (for exercising the hook; there
-/// never was an on-disk version 0).
-struct V0ToV1;
-
-impl Migration for V0ToV1 {
-    fn source_version(&self) -> u32 {
-        0
-    }
-    fn migrate_blob(&self, blob: &[u8]) -> Option<Vec<u8>> {
-        Some(blob.to_vec())
-    }
-}
-
 #[test]
-fn version_stamps_gate_migration() {
-    let dir = fresh_dir("migrate");
+fn stores_stamped_at_another_version_open_empty() {
     let (_, config) = config_matrix().remove(0);
     let image = fresh_run(&config, 9);
     let key = key_for(&config, 9);
-    {
+    for stamp in [1, STORE_VERSION + 1] {
+        let dir = fresh_dir("version");
+        {
+            let mut store = ArtifactStore::open(&dir, StoreConfig::default()).unwrap();
+            store.put(&key, &image).unwrap();
+        }
+        for name in ["index.rds", "blobs.rds"] {
+            let mut f = std::fs::OpenOptions::new().write(true).open(dir.join(name)).unwrap();
+            f.seek(SeekFrom::Start(4)).unwrap();
+            f.write_all(&stamp.to_le_bytes()).unwrap();
+        }
+        // The store is a cache: a version-1 or future store restarts empty
+        // and serves fresh puts at the current version.
         let mut store = ArtifactStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(store.get(&key).unwrap(), None, "version {stamp} must open empty");
         store.put(&key, &image).unwrap();
+        assert_eq!(store.get(&key).unwrap().as_ref(), Some(&image), "version {stamp}: fresh put");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    // Back-stamp both files to version 0.
-    for name in ["index.rds", "blobs.rds"] {
-        let mut f = std::fs::OpenOptions::new().write(true).open(dir.join(name)).unwrap();
-        f.seek(SeekFrom::Start(4)).unwrap();
-        f.write_all(&0u32.to_le_bytes()).unwrap();
-    }
-    {
-        // Without a bridging migration the store restarts empty.
-        let mut store = ArtifactStore::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(store.get(&key).unwrap(), None);
-    }
-    // Re-create the version-0 state and open through the migration hook.
-    {
-        let mut store = ArtifactStore::open(&dir, StoreConfig::default()).unwrap();
-        store.put(&key, &image).unwrap();
-    }
-    for name in ["index.rds", "blobs.rds"] {
-        let mut f = std::fs::OpenOptions::new().write(true).open(dir.join(name)).unwrap();
-        f.seek(SeekFrom::Start(4)).unwrap();
-        f.write_all(&0u32.to_le_bytes()).unwrap();
-    }
-    let mut store =
-        ArtifactStore::open_with_migrations(&dir, StoreConfig::default(), &[&V0ToV1]).unwrap();
-    assert_eq!(store.get(&key).unwrap(), Some(image), "migrated artifacts survive");
-    let _ = std::fs::remove_dir_all(&dir);
 }

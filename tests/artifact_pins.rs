@@ -44,36 +44,36 @@ fn programs() -> [Workload; 3] {
 
 /// `(program, configuration label, seed, stable hash of the encoded image)`.
 const PINS: &[(&str, &str, u64, u128)] = &[
-    ("pidigits", "ROP1.00", 1, 0x25c0_75e3_adca_5520_b747_3cc4_f64a_572a),
-    ("pidigits", "ROP1.00", 2, 0x7e91_24df_3dbf_b0bf_b1b9_ee51_ea13_9cf4),
-    ("pidigits", "ROP0.25", 1, 0xf709_5ada_5e5e_82bc_14b9_5fce_c905_b111),
-    ("pidigits", "ROP0.25", 2, 0x56ed_f86c_9947_dbe5_05b1_1a2c_28f0_f306),
-    ("pidigits", "2VM-IMPlast", 1, 0x5ffa_0571_66e7_71b8_fd24_2cf2_99b5_5ece),
-    ("pidigits", "2VM-IMPlast", 2, 0xc932_a0f8_7f96_4d5a_82a8_6528_0fac_4ea0),
-    ("pidigits", "ROP1.00-over-1VM", 1, 0x4cd1_fa5c_8304_b2f3_1523_be66_3ae9_9bd8),
-    ("pidigits", "ROP1.00-over-1VM", 2, 0x45ee_bb15_ebac_ceec_3600_2c54_2edc_f3e0),
-    ("pidigits", "1VM-over-ROP1.00", 1, 0x52f9_6ca7_7f57_0251_f291_af42_f265_aa14),
-    ("pidigits", "1VM-over-ROP1.00", 2, 0x3730_73ce_22eb_0606_f68d_c187_321d_460f),
-    ("depth-switch", "ROP1.00", 1, 0xea2b_ff46_25ed_afdf_c6a4_112e_2737_8cf2),
-    ("depth-switch", "ROP1.00", 2, 0x5955_5ba9_f50c_fc2b_d897_33ca_6b40_77ee),
-    ("depth-switch", "ROP0.25", 1, 0x1fe4_d622_4e92_1964_6347_e31a_aa6d_a5e9),
-    ("depth-switch", "ROP0.25", 2, 0xebfd_2538_d4a4_8a60_51ca_0894_891a_3872),
-    ("depth-switch", "2VM-IMPlast", 1, 0x2508_ef5b_b861_abc5_597f_1efb_50e9_05cb),
-    ("depth-switch", "2VM-IMPlast", 2, 0xd428_46d2_462f_90b7_ed0d_a020_8b74_4f5e),
-    ("depth-switch", "ROP1.00-over-1VM", 1, 0x4986_f7f2_d9fc_54e0_80ff_ea87_ea9b_8521),
-    ("depth-switch", "ROP1.00-over-1VM", 2, 0xe253_0373_7384_840a_9da5_ff5e_e8b4_c420),
-    ("depth-switch", "1VM-over-ROP1.00", 1, 0x1f87_b7e3_1382_e016_4623_acc1_c06b_131c),
-    ("depth-switch", "1VM-over-ROP1.00", 2, 0x9e93_b5fd_ee29_1975_5e7a_ddb8_c677_0cb6),
-    ("smc-cadence1", "ROP1.00", 1, 0xaeaa_2db2_f40b_f07c_963a_cd3c_bcaf_706c),
-    ("smc-cadence1", "ROP1.00", 2, 0xb769_7ec8_465e_508d_037b_2041_d744_2fc4),
-    ("smc-cadence1", "ROP0.25", 1, 0xf9c6_df78_f950_3446_2f9d_b84a_b7b1_7554),
-    ("smc-cadence1", "ROP0.25", 2, 0xc94f_f281_1300_4fba_3632_e118_3a04_a5ec),
-    ("smc-cadence1", "2VM-IMPlast", 1, 0x3667_9456_efe7_a3b8_c141_ee31_36b6_81bf),
-    ("smc-cadence1", "2VM-IMPlast", 2, 0xdc27_238e_f10e_d659_a21c_1a49_642f_6d67),
-    ("smc-cadence1", "ROP1.00-over-1VM", 1, 0x0844_c7cb_0b5e_730d_d55f_16cf_898e_bec2),
-    ("smc-cadence1", "ROP1.00-over-1VM", 2, 0x91ac_fc96_fa97_acd1_6821_33e1_84f6_1220),
-    ("smc-cadence1", "1VM-over-ROP1.00", 1, 0xf131_1207_d150_4801_8dee_a992_527d_dde0),
-    ("smc-cadence1", "1VM-over-ROP1.00", 2, 0x47f2_3075_8fd2_5c16_c9bd_4ac3_e3c1_b150),
+    ("pidigits", "ROP1.00", 1, 0x5e26_7038_6a8b_99b7_ae9e_8793_2ae7_67a6),
+    ("pidigits", "ROP1.00", 2, 0x01b8_67e2_6309_d20f_22de_61fd_f216_31cc),
+    ("pidigits", "ROP0.25", 1, 0x1eec_dbbd_5fab_7897_238d_50cd_6350_75bb),
+    ("pidigits", "ROP0.25", 2, 0x9589_e7b3_40c7_6b28_b8a8_dada_acf1_d3f4),
+    ("pidigits", "2VM-IMPlast", 1, 0x0cbc_4217_7cb8_c3e2_2715_aa40_4e34_79c4),
+    ("pidigits", "2VM-IMPlast", 2, 0x0a05_9d54_27e8_0f1a_c16b_bba2_88e4_eb7c),
+    ("pidigits", "ROP1.00-over-1VM", 1, 0x09dd_98ff_1345_85db_1784_c802_76f1_13e3),
+    ("pidigits", "ROP1.00-over-1VM", 2, 0x3575_7911_8017_52f1_e9b3_2e8b_aec2_5aed),
+    ("pidigits", "1VM-over-ROP1.00", 1, 0xad59_175e_9998_7a0c_26c7_e324_0516_8faa),
+    ("pidigits", "1VM-over-ROP1.00", 2, 0x900f_5508_7cda_4aa4_0405_7130_5c36_c969),
+    ("depth-switch", "ROP1.00", 1, 0xbff3_2941_5299_fb72_3cae_f946_4eb6_79e5),
+    ("depth-switch", "ROP1.00", 2, 0xfcfe_f948_bf0c_6696_e99d_100b_cfb7_c053),
+    ("depth-switch", "ROP0.25", 1, 0xbcef_26b2_b604_20d4_2c50_c451_8db6_cf86),
+    ("depth-switch", "ROP0.25", 2, 0xebc0_5397_8204_4ccc_9733_7f28_f45b_0b23),
+    ("depth-switch", "2VM-IMPlast", 1, 0x80af_ce24_b112_3a05_dfb0_de34_1449_067e),
+    ("depth-switch", "2VM-IMPlast", 2, 0x707e_caad_7a4e_96b2_4f9d_f349_94ba_7c59),
+    ("depth-switch", "ROP1.00-over-1VM", 1, 0x8fca_8024_a89d_26d0_e741_0ecf_23d1_66b7),
+    ("depth-switch", "ROP1.00-over-1VM", 2, 0x99e4_4099_0584_bc93_c4f8_dadb_7e9c_98a0),
+    ("depth-switch", "1VM-over-ROP1.00", 1, 0x52cd_e6ce_5203_94de_32f7_db47_88f8_8879),
+    ("depth-switch", "1VM-over-ROP1.00", 2, 0x5dcf_bdfc_6501_8d5a_66f3_6b4e_a91e_1d17),
+    ("smc-cadence1", "ROP1.00", 1, 0x6125_f61a_a7c7_2341_b30a_c235_0bbf_c4be),
+    ("smc-cadence1", "ROP1.00", 2, 0xed13_d0ef_b804_fbe5_4a50_4ae6_2995_a586),
+    ("smc-cadence1", "ROP0.25", 1, 0x47b6_cc13_ea56_fea8_b2c6_5eed_51a5_0df8),
+    ("smc-cadence1", "ROP0.25", 2, 0x7a7b_4d58_98c2_0be6_dc5c_ec72_539b_133a),
+    ("smc-cadence1", "2VM-IMPlast", 1, 0x6d28_6167_f056_c4aa_d2a9_691f_2e1c_8b39),
+    ("smc-cadence1", "2VM-IMPlast", 2, 0x1be7_e067_e532_f0d9_231a_0d6c_f9e0_ee53),
+    ("smc-cadence1", "ROP1.00-over-1VM", 1, 0xa920_6976_af8f_79c6_6756_0e77_a3aa_5c2d),
+    ("smc-cadence1", "ROP1.00-over-1VM", 2, 0xd56e_c42a_ad1c_07ed_a78d_09bd_5392_42cd),
+    ("smc-cadence1", "1VM-over-ROP1.00", 1, 0xc5f6_684f_76e4_17f3_cb40_9864_c5c7_41bc),
+    ("smc-cadence1", "1VM-over-ROP1.00", 2, 0x29ab_d892_96de_23b7_57df_a7a0_9951_83a0),
 ];
 
 #[test]
