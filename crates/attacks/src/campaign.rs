@@ -6,8 +6,8 @@
 //! checkpoints durable state to disk between slices so a killed process
 //! loses at most one slice of work per job. The checkpoint file reuses the
 //! [`recfile`] discipline of the artifact store: a magic+version header,
-//! framed records each sealed with a 64-bit checksum
-//! ([`recfile::stable_hash64`]), and tolerant replay — a torn or corrupted
+//! framed records each sealed with an XXH64 checksum
+//! ([`recfile::xxh64`]), and tolerant replay — a torn or corrupted
 //! record demotes the affected jobs to "restart from scratch" instead of
 //! poisoning the campaign.
 //!
@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 /// Magic of the campaign checkpoint log.
 pub const CAMPAIGN_MAGIC: [u8; 4] = *b"RDCM";
 /// Version stamped into the log header.
-pub const CAMPAIGN_VERSION: u32 = 1;
+pub const CAMPAIGN_VERSION: u32 = 2;
 /// File name of the checkpoint log inside the campaign directory.
 pub const CAMPAIGN_LOG: &str = "campaign.rdc";
 

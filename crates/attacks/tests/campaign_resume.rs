@@ -5,7 +5,8 @@
 //! state (demoting jobs to a restart); it can never alter it.
 
 use raindrop_attacks::campaign::{
-    replay_log, Campaign, CampaignConfig, CampaignReport, CampaignStatus, FaultPlan,
+    replay_log, Campaign, CampaignConfig, CampaignReport, CampaignStatus, FaultPlan, CAMPAIGN_LOG,
+    CAMPAIGN_VERSION,
 };
 use raindrop_attacks::concolic::{DseAttack, DseBudget, DseOutcome, Goal, InputSpec};
 use raindrop_attacks::fleet::DseJob;
@@ -253,6 +254,34 @@ fn corrupted_checkpoints_demote_to_restart_never_poison() {
         .unwrap();
         let resumed = Campaign::open(&dir, test_config()).unwrap().run(make_jobs()).unwrap();
         assert_same_results("corrupt-truncated", &reference, &resumed);
+    }
+}
+
+#[test]
+fn logs_stamped_at_another_version_replay_empty() {
+    let dir = fresh_dir("version-src");
+    let reference = Campaign::open(&dir, test_config()).unwrap().run(make_jobs()).unwrap();
+    assert!(reference.completed());
+    let clean = std::fs::read(dir.join(CAMPAIGN_LOG)).unwrap();
+    let written = reference.stats.checkpoints_written as usize;
+    assert_eq!(replay_log(&clean).0.len(), written, "the clean log replays");
+
+    // An earlier format (whose seals differ) or a future one is never read:
+    // the whole log is dropped and every job reruns from scratch.
+    for stamp in [1, CAMPAIGN_VERSION + 1] {
+        let mut log = clean.clone();
+        log[4..8].copy_from_slice(&stamp.to_le_bytes());
+        let (records, dropped) = replay_log(&log);
+        assert!(records.is_empty(), "version {stamp} replays no records");
+        assert_eq!(dropped, log.len() as u64, "version {stamp}: every byte is dropped");
+
+        let dir = fresh_dir(&format!("version-{stamp}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(CAMPAIGN_LOG), &log).unwrap();
+        let rerun = Campaign::open(&dir, test_config()).unwrap().run(make_jobs()).unwrap();
+        assert_eq!(rerun.stats.jobs_recovered, 0, "version {stamp}: nothing recovered");
+        assert_eq!(rerun.stats.slices_run, reference.stats.slices_run, "version {stamp}: rerun");
+        assert_same_results(&format!("version-{stamp}"), &reference, &rerun);
     }
 }
 

@@ -4,12 +4,12 @@
 //! Both durable formats in this workspace — the [`ArtifactStore`] index
 //! (`index.rds`/`blobs.rds`) and the attack-campaign checkpoint log — follow
 //! the same discipline: a 4-byte magic + `u32` version header, append-only
-//! records each sealed with a trailing 64-bit checksum, and *tolerant
+//! records each sealed with a trailing [`xxh64`] checksum, and *tolerant
 //! replay* that stops at the first torn or damaged record instead of
 //! failing the whole file. This module is the single home of that format
 //! logic:
 //!
-//! * [`stable_hash64`], [`write_header`], [`read_header`] — the shared
+//! * [`xxh64`], [`write_header`], [`read_header`] — the shared
 //!   primitives;
 //! * [`frame_record`] / [`FramedReader`] — length-prefixed records (store
 //!   index entries, campaign checkpoints carrying frontiers of arbitrary
@@ -27,7 +27,6 @@
 //!
 //! [`ArtifactStore`]: crate::ArtifactStore
 
-use raindrop::stable_hash_bytes;
 use serde::{Deserialize, Serialize, Value};
 use std::fs::File;
 use std::io::Write;
@@ -35,11 +34,68 @@ use std::io::Write;
 /// Byte length of the `magic + version` file header.
 pub const HEADER_LEN: usize = 8;
 
-/// The checksum sealing every record: [`stable_hash_bytes`] (FNV-1a-128)
-/// narrowed to its low 64 bits. Not a CRC and not cryptographic — it guards
-/// against torn writes and bit rot, not adversaries.
-pub fn stable_hash64(bytes: &[u8]) -> u64 {
-    stable_hash_bytes(bytes) as u64
+// XXH64's five 64-bit primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8 bytes"))
+}
+
+/// The checksum sealing every record and store blob: XXH64 with seed 0,
+/// the standard four-lane hash that consumes 32-byte stripes. Not
+/// cryptographic — it guards against torn writes and bit rot, not
+/// adversaries. Identity hashes (keys, fingerprints) use the 128-bit
+/// `raindrop::stable_hash_bytes` instead.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = xxh_round(*acc, le64(lane));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &acc| xxh_merge(h, acc))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let words = tail.chunks_exact(8);
+    let mut rest = words.remainder();
+    for word in words {
+        h = (h ^ xxh_round(0, le64(word))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    if rest.len() >= 4 {
+        let half = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as u64;
+        h = (h ^ half.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ (b as u64).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Writes a `magic + u32 version` header at the file's current position.
@@ -57,12 +113,13 @@ pub fn read_header(bytes: &[u8], magic: [u8; 4]) -> Option<u32> {
     Some(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
 }
 
-/// Frames a variable-size record: `u32 len ++ body ++ stable_hash64(len ++ body)`.
+/// Frames a variable-size record: `u32 len ++ body ++ xxh64(len ++ body)`,
+/// the checksum stored little-endian.
 pub fn frame_record(body: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(4 + body.len() + 8);
     rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
     rec.extend_from_slice(body);
-    let sum = stable_hash64(&rec);
+    let sum = xxh64(&rec);
     rec.extend_from_slice(&sum.to_le_bytes());
     rec
 }
@@ -104,7 +161,7 @@ impl<'a> Iterator for FramedReader<'a> {
         let framed = &rest[..total];
         let (sealed, sum_bytes) = framed.split_at(total - 8);
         let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-        if stable_hash64(sealed) != stored {
+        if xxh64(sealed) != stored {
             return None; // damaged record: stop replay here
         }
         self.pos += total;
@@ -286,6 +343,24 @@ pub fn decode_payload<T: Deserialize>(bytes: &[u8]) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn xxh64_matches_reference_vectors() {
+        // Reference XXH64 (seed 0) digests; the inputs reach every tail
+        // path: single bytes, a 4-byte word, 8-byte words and 32-byte stripes.
+        let upto = |n: u8| (0..n).collect::<Vec<u8>>();
+        let cases: [(&[u8], u64); 6] = [
+            (b"", 0xef46_db37_51d8_e999),
+            (b"a", 0xd24e_c4f1_a98c_6e5b),
+            (b"abc", 0x44bc_2cf5_ad77_0999),
+            (b"Nobody inspects the spammish repetition", 0xfbce_a83c_8a37_8bf1),
+            (&upto(45), 0x10fd_d84d_6409_abdf),
+            (&upto(100), 0x6ac1_e580_3216_6597),
+        ];
+        for (input, want) in cases {
+            assert_eq!(xxh64(input), want, "xxh64 of {} bytes", input.len());
+        }
+    }
 
     #[test]
     fn framed_replay_stops_at_first_bad_record() {

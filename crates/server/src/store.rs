@@ -6,14 +6,15 @@
 //!
 //! ```text
 //! <dir>/index.rds   "RDSI" + u32 version, then append-only framed records
-//!                   (recfile::frame_record), each the payload of
-//!                   Put { key, off, len, blob_hash } or Evict { key }
+//!                   [u32 len][payload][xxh64] (recfile::frame_record),
+//!                   each payload Put { key, off, len, blob_hash } or Evict { key }
 //! <dir>/blobs.rds   "RDSB" + u32 version, then raw image blobs
-//!                   (recfile::encode_payload of the Image), back to back
+//!                   (recfile::encode_payload of the Image), back to back;
+//!                   blob_hash = xxh64(blob)
 //! ```
 //!
-//! Every index record is sealed by its frame checksum and carries the
-//! checksum of the blob it points at (`blob_hash`). Corruption is therefore
+//! Every index record is sealed by its frame's [`xxh64`] and carries the
+//! [`xxh64`] of the blob it points at (`blob_hash`). Corruption is therefore
 //! *local*: a torn or damaged tail record stops replay at the last good
 //! record, a flipped blob byte fails its checksum on
 //! [`get`](ArtifactStore::get) — both surface as cache misses, never as
@@ -29,7 +30,7 @@
 //! bytes, and runs automatically when dead bytes outgrow live bytes.
 
 use crate::codec::encode_image;
-use crate::recfile::{self, read_header, stable_hash64, write_header, FramedReader};
+use crate::recfile::{self, read_header, write_header, xxh64, FramedReader};
 use raindrop_machine::Image;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -43,7 +44,7 @@ pub const INDEX_MAGIC: [u8; 4] = *b"RDSI";
 /// Magic prefix of `blobs.rds`.
 pub const BLOBS_MAGIC: [u8; 4] = *b"RDSB";
 /// Current on-disk store format version.
-pub const STORE_VERSION: u32 = 2;
+pub const STORE_VERSION: u32 = 3;
 
 /// The cache key of one protection artifact.
 ///
@@ -183,7 +184,7 @@ impl ArtifactStore {
         // in-memory table.
         let index_bytes = std::fs::read(&index_path).unwrap_or_default();
         let blob_bytes = std::fs::read(&blobs_path).unwrap_or_default();
-        let mut replayed: Vec<(ArtifactKey, Vec<u8>)> = Vec::new();
+        let mut replayed: Vec<(ArtifactKey, Vec<u8>, u64)> = Vec::new();
         if read_header(&index_bytes, INDEX_MAGIC) == Some(STORE_VERSION)
             && read_header(&blob_bytes, BLOBS_MAGIC) == Some(STORE_VERSION)
         {
@@ -211,10 +212,10 @@ impl ArtifactStore {
                     continue; // blob out of range: miss
                 };
                 let blob = &blob_bytes[off..end];
-                if stable_hash64(blob) != blob_hash {
+                if xxh64(blob) != blob_hash {
                     continue; // damaged blob: miss
                 }
-                replayed.push((key, blob.to_vec()));
+                replayed.push((key, blob.to_vec(), blob_hash));
             }
         }
 
@@ -243,8 +244,8 @@ impl ArtifactStore {
             next_seq: 0,
             stats: StoreStats::default(),
         };
-        for (key, blob) in replayed {
-            store.append_blob(&key, &blob)?;
+        for (key, blob, blob_hash) in replayed {
+            store.append_blob(&key, &blob, blob_hash)?;
         }
         store.flush()?;
         // Replay artifacts are inventory, not traffic: forget counters.
@@ -271,10 +272,16 @@ impl ArtifactStore {
         Ok(())
     }
 
-    fn append_blob(&mut self, key: &ArtifactKey, blob: &[u8]) -> Result<(), StoreError> {
+    /// Appends `blob` and its index record; `blob_hash` is the caller's
+    /// [`xxh64`] of `blob`, so a blob just verified is not hashed again.
+    fn append_blob(
+        &mut self,
+        key: &ArtifactKey,
+        blob: &[u8],
+        blob_hash: u64,
+    ) -> Result<(), StoreError> {
         let off = self.blobs.seek(SeekFrom::End(0))?;
         self.blobs.write_all(blob)?;
-        let blob_hash = stable_hash64(blob);
         self.append_record(&IndexRecord::Put {
             key: *key,
             off,
@@ -302,7 +309,7 @@ impl ArtifactStore {
     /// outgrow live bytes.
     pub fn put(&mut self, key: &ArtifactKey, image: &Image) -> Result<(), StoreError> {
         let blob = encode_image(image);
-        self.append_blob(key, &blob)?;
+        self.append_blob(key, &blob, xxh64(&blob))?;
         if let Some(budget) = self.config.max_blob_bytes {
             while self.live_bytes() > budget && self.entries.len() > 1 {
                 let oldest = *self.entries.iter().min_by_key(|(_, e)| e.seq).expect("non-empty").0;
@@ -344,7 +351,7 @@ impl ArtifactStore {
             .seek(SeekFrom::Start(entry.off))
             .and_then(|_| self.blobs.read_exact(&mut blob))
             .is_ok();
-        let image = if ok && stable_hash64(&blob) == entry.blob_hash {
+        let image = if ok && xxh64(&blob) == entry.blob_hash {
             recfile::decode_payload::<Image>(&blob)
         } else {
             None
@@ -376,7 +383,7 @@ impl ArtifactStore {
         let mut ordered: Vec<(ArtifactKey, Entry)> =
             self.entries.iter().map(|(k, e)| (*k, *e)).collect();
         ordered.sort_by_key(|(_, e)| e.seq);
-        let mut kept: Vec<(ArtifactKey, Vec<u8>)> = Vec::with_capacity(ordered.len());
+        let mut kept: Vec<(ArtifactKey, Vec<u8>, u64)> = Vec::with_capacity(ordered.len());
         for (key, entry) in ordered {
             let mut blob = vec![0u8; entry.len as usize];
             let ok = self
@@ -384,8 +391,8 @@ impl ArtifactStore {
                 .seek(SeekFrom::Start(entry.off))
                 .and_then(|_| self.blobs.read_exact(&mut blob))
                 .is_ok();
-            if ok && stable_hash64(&blob) == entry.blob_hash {
-                kept.push((key, blob));
+            if ok && xxh64(&blob) == entry.blob_hash {
+                kept.push((key, blob, entry.blob_hash));
             }
         }
         self.index.set_len(0)?;
@@ -395,8 +402,8 @@ impl ArtifactStore {
         write_header(&mut self.index, INDEX_MAGIC, STORE_VERSION)?;
         write_header(&mut self.blobs, BLOBS_MAGIC, STORE_VERSION)?;
         self.entries.clear();
-        for (key, blob) in kept {
-            self.append_blob(&key, &blob)?;
+        for (key, blob, blob_hash) in kept {
+            self.append_blob(&key, &blob, blob_hash)?;
         }
         self.flush()?;
         self.stats.dead_bytes = 0;

@@ -171,7 +171,7 @@ fn stores_stamped_at_another_version_open_empty() {
     let (_, config) = config_matrix().remove(0);
     let image = fresh_run(&config, 9);
     let key = key_for(&config, 9);
-    for stamp in [1, STORE_VERSION + 1] {
+    for stamp in (1..STORE_VERSION).chain([STORE_VERSION + 1]) {
         let dir = fresh_dir("version");
         {
             let mut store = ArtifactStore::open(&dir, StoreConfig::default()).unwrap();
@@ -182,7 +182,7 @@ fn stores_stamped_at_another_version_open_empty() {
             f.seek(SeekFrom::Start(4)).unwrap();
             f.write_all(&stamp.to_le_bytes()).unwrap();
         }
-        // The store is a cache: a version-1 or future store restarts empty
+        // The store is a cache: an earlier or future store restarts empty
         // and serves fresh puts at the current version.
         let mut store = ArtifactStore::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(store.get(&key).unwrap(), None, "version {stamp} must open empty");
