@@ -76,6 +76,7 @@ use raindrop_synth::minic::{Expr, Function, Program, Stmt};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Errors that abort a whole pipeline run (per-target obfuscation failures
@@ -588,13 +589,13 @@ impl ObfConfig {
         let mut h = StableHasher::new();
         h.write(b"obfconfig/v1;");
         for (spec, only) in &self.passes {
-            h.write(format!("pass={:032x};", spec.fields().digest()).as_bytes());
+            let _ = write!(h, "pass={:032x};", spec.fields().digest());
             // A restriction is part of the configuration (the same pass
             // chain over different subsets produces different artifacts),
             // but an *absent* restriction hashes to nothing so historical
             // unrestricted hashes stay valid.
             if let Some(only) = only {
-                h.write(format!("only={};", normalize_targets(only).join(",")).as_bytes());
+                let _ = write!(h, "only={};", normalize_targets(only).join(","));
             }
         }
         h.finish()

@@ -17,6 +17,10 @@
 //! hashes identically on every platform and NaN payload differences are
 //! visible rather than collapsed.
 
+use std::fmt::{self, Write as _};
+use std::io::Write as _;
+use std::ops::Range;
+
 /// FNV-1a over 128 bits: tiny, dependency-free, and wide enough that the
 /// artifact store can treat digest equality as identity.
 #[derive(Debug, Clone)]
@@ -53,6 +57,19 @@ impl StableHasher {
     }
 }
 
+/// A hasher is a byte sink: serializers stream straight into it (e.g.
+/// `serde_json::to_writer`) instead of rendering a buffer to hash.
+impl std::io::Write for StableHasher {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        StableHasher::write(self, bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Hashes a byte string in one call.
 pub fn stable_hash_bytes(bytes: &[u8]) -> u128 {
     let mut h = StableHasher::new();
@@ -64,7 +81,10 @@ pub fn stable_hash_bytes(bytes: &[u8]) -> u128 {
 /// digest is computed over the name-sorted rendering.
 #[derive(Debug, Clone, Default)]
 pub struct FieldBag {
-    fields: Vec<(&'static str, String)>,
+    /// Every field's rendered value, back to back.
+    values: String,
+    /// Each field's name and the span of its value in `values`.
+    fields: Vec<(&'static str, Range<usize>)>,
 }
 
 impl FieldBag {
@@ -73,35 +93,37 @@ impl FieldBag {
         FieldBag::default()
     }
 
-    fn put(&mut self, name: &'static str, value: String) -> &mut Self {
-        self.fields.push((name, value));
+    fn put(&mut self, name: &'static str, value: fmt::Arguments) -> &mut Self {
+        let start = self.values.len();
+        let _ = self.values.write_fmt(value);
+        self.fields.push((name, start..self.values.len()));
         self
     }
 
     /// Adds an unsigned integer field.
     pub fn put_u64(&mut self, name: &'static str, v: u64) -> &mut Self {
-        self.put(name, format!("u{v}"))
+        self.put(name, format_args!("u{v}"))
     }
 
     /// Adds a boolean field.
     pub fn put_bool(&mut self, name: &'static str, v: bool) -> &mut Self {
-        self.put(name, format!("b{v}"))
+        self.put(name, format_args!("b{v}"))
     }
 
     /// Adds a float field, canonicalized through its IEEE-754 bit pattern.
     pub fn put_f64(&mut self, name: &'static str, v: f64) -> &mut Self {
-        self.put(name, format!("f{:016x}", v.to_bits()))
+        self.put(name, format_args!("f{:016x}", v.to_bits()))
     }
 
     /// Adds a string field (length-prefixed so adjacent fields cannot blend
     /// into each other).
     pub fn put_str(&mut self, name: &'static str, v: &str) -> &mut Self {
-        self.put(name, format!("s{}:{v}", v.len()))
+        self.put(name, format_args!("s{}:{v}", v.len()))
     }
 
     /// Adds a nested bag (canonicalized recursively).
     pub fn put_bag(&mut self, name: &'static str, bag: &FieldBag) -> &mut Self {
-        self.put(name, format!("{{{}}}", bag.canonical()))
+        self.put(name, format_args!("{{{bag}}}"))
     }
 
     /// Adds an optional nested bag; `None` renders distinctly from any
@@ -109,22 +131,35 @@ impl FieldBag {
     pub fn put_opt_bag(&mut self, name: &'static str, bag: Option<&FieldBag>) -> &mut Self {
         match bag {
             Some(b) => self.put_bag(name, b),
-            None => self.put(name, "none".to_string()),
+            None => self.put(name, format_args!("none")),
         }
     }
 
     /// The canonical rendering: `name=value` pairs sorted by name, joined
     /// with `;`.
     pub fn canonical(&self) -> String {
-        let mut fields = self.fields.clone();
-        fields.sort();
-        let parts: Vec<String> = fields.iter().map(|(n, v)| format!("{n}={v}")).collect();
-        parts.join(";")
+        self.to_string()
     }
 
     /// The 128-bit digest of the canonical rendering.
     pub fn digest(&self) -> u128 {
-        stable_hash_bytes(self.canonical().as_bytes())
+        let mut h = StableHasher::new();
+        let _ = write!(h, "{self}");
+        h.finish()
+    }
+}
+
+/// Writes the canonical rendering (see [`FieldBag::canonical`]).
+impl fmt::Display for FieldBag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut fields: Vec<(&str, &str)> =
+            self.fields.iter().map(|(n, span)| (*n, &self.values[span.clone()])).collect();
+        fields.sort_unstable();
+        for (i, (name, value)) in fields.into_iter().enumerate() {
+            let sep = if i > 0 { ";" } else { "" };
+            write!(f, "{sep}{name}={value}")?;
+        }
+        Ok(())
     }
 }
 

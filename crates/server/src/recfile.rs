@@ -14,11 +14,13 @@
 //! * [`frame_record`] / [`FramedReader`] — length-prefixed records (store
 //!   index entries, campaign checkpoints carrying frontiers of arbitrary
 //!   size);
-//! * [`encode_value`] / [`decode_value`] — a canonical binary encoding of
-//!   the vendored-serde [`Value`] data model, so any
-//!   `Serialize + Deserialize` type can travel inside a record body or a
-//!   store blob ([`encode_payload`] / [`decode_payload`]). No other code in
-//!   the workspace lays out durable bytes.
+//! * [`encode_payload`] / [`decode_payload`] — a canonical binary encoding
+//!   of the vendored-serde data model, so any `Serialize + Deserialize`
+//!   type can travel inside a record body or a store blob. Encoding streams:
+//!   the value's `serialize` calls go through an encoding `serde::Sink`
+//!   straight into the output buffer, with no [`Value`] tree in between.
+//!   Decoding reads the bytes back into a [`Value`] ([`decode_value`]) for
+//!   `Deserialize`. No other code in the workspace lays out durable bytes.
 //!
 //! Corruption is always *local and fail-safe*: a record that does not
 //! checksum clean is indistinguishable from end-of-file, and a payload that
@@ -27,7 +29,7 @@
 //!
 //! [`ArtifactStore`]: crate::ArtifactStore
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use std::fs::File;
 use std::io::Write;
 
@@ -185,63 +187,67 @@ const TAG_BYTES: u8 = 8;
 /// errors instead of overflowing the stack.
 const MAX_DECODE_DEPTH: usize = 128;
 
-/// Appends the canonical binary encoding of `v` to `out`: a 1-byte tag,
+/// The [`Sink`] laying out the canonical binary encoding: a 1-byte tag,
 /// then little-endian scalars / `u32`-length-prefixed strings, byte
-/// strings, sequences and maps. The encoding is deterministic — equal values encode to equal
-/// bytes — which is what lets record contents participate in checksums
-/// and content hashes.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(*b as u8);
-        }
-        Value::I64(n) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::U64(n) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_str(s, out);
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (k, v) in entries {
-                put_str(k, out);
-                encode_value(v, out);
-            }
-        }
-        Value::Bytes(b) => {
-            out.push(TAG_BYTES);
-            put_bytes(b, out);
-        }
+/// strings, sequences and maps (each map key a length-prefixed string).
+/// The encoding is deterministic — equal values encode to equal bytes —
+/// which is what lets record contents participate in checksums and content
+/// hashes.
+struct Encoder<'a>(&'a mut Vec<u8>);
+
+impl Encoder<'_> {
+    fn tagged(&mut self, tag: u8, scalar: [u8; 8]) {
+        self.0.push(tag);
+        self.0.extend_from_slice(&scalar);
+    }
+
+    fn len(&mut self, n: usize) {
+        self.0.extend_from_slice(&(n as u32).to_le_bytes());
+    }
+
+    fn put_bytes(&mut self, b: &[u8]) {
+        self.len(b.len());
+        self.0.extend_from_slice(b);
     }
 }
 
-fn put_str(s: &str, out: &mut Vec<u8>) {
-    put_bytes(s.as_bytes(), out);
-}
-
-fn put_bytes(b: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
+impl Sink for Encoder<'_> {
+    fn null(&mut self) {
+        self.0.push(TAG_NULL);
+    }
+    fn bool(&mut self, v: bool) {
+        self.0.extend_from_slice(&[TAG_BOOL, v as u8]);
+    }
+    fn i64(&mut self, v: i64) {
+        self.tagged(TAG_I64, v.to_le_bytes());
+    }
+    fn u64(&mut self, v: u64) {
+        self.tagged(TAG_U64, v.to_le_bytes());
+    }
+    fn f64(&mut self, v: f64) {
+        self.tagged(TAG_F64, v.to_bits().to_le_bytes());
+    }
+    fn str(&mut self, v: &str) {
+        self.0.push(TAG_STR);
+        self.put_bytes(v.as_bytes());
+    }
+    fn bytes(&mut self, v: &[u8]) {
+        self.0.push(TAG_BYTES);
+        self.put_bytes(v);
+    }
+    fn seq_begin(&mut self, len: usize) {
+        self.0.push(TAG_SEQ);
+        self.len(len);
+    }
+    fn seq_end(&mut self) {}
+    fn map_begin(&mut self, len: usize) {
+        self.0.push(TAG_MAP);
+        self.len(len);
+    }
+    fn map_key(&mut self, key: &str) {
+        self.put_bytes(key.as_bytes());
+    }
+    fn map_end(&mut self) {}
 }
 
 /// Decodes a canonical binary [`Value`], requiring the buffer to be exactly
@@ -327,9 +333,9 @@ fn decode_at(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
 }
 
 /// Serializes any `Serialize` type to its canonical binary encoding.
-pub fn encode_payload<T: Serialize>(value: &T) -> Vec<u8> {
+pub fn encode_payload<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_value(&value.to_value(), &mut out);
+    value.serialize(&mut Encoder(&mut out));
     out
 }
 
@@ -411,18 +417,14 @@ mod tests {
             ("map".into(), Value::Map(vec![("k".into(), Value::I64(0))])),
             ("bytes".into(), Value::Bytes(vec![0, 1, 255])),
         ]);
-        let mut bytes = Vec::new();
-        encode_value(&v, &mut bytes);
-        assert_eq!(decode_value(&bytes), Some(v));
+        assert_eq!(decode_value(&encode_payload(&v)), Some(v));
     }
 
     #[test]
     fn byte_strings_round_trip_and_reject_overlong_lengths() {
         for raw in [Vec::new(), (0..64 * 1024).map(|i| (i * 7) as u8).collect()] {
             let v = Value::Bytes(raw);
-            let mut bytes = Vec::new();
-            encode_value(&v, &mut bytes);
-            assert_eq!(decode_value(&bytes), Some(v));
+            assert_eq!(decode_value(&encode_payload(&v)), Some(v));
         }
         let mut past_end = vec![TAG_BYTES];
         past_end.extend_from_slice(&4u32.to_le_bytes());
@@ -437,8 +439,7 @@ mod tests {
         assert_eq!(decode_value(&[TAG_BOOL, 2]), None, "bad bool");
         assert_eq!(decode_value(&[TAG_U64, 1, 2]), None, "short scalar");
         assert_eq!(decode_value(&[TAG_SEQ, 0xff, 0xff, 0xff, 0xff]), None, "absurd count");
-        let mut ok = Vec::new();
-        encode_value(&Value::U64(7), &mut ok);
+        let mut ok = encode_payload(&Value::U64(7));
         ok.push(0);
         assert_eq!(decode_value(&ok), None, "trailing bytes");
         // Deep nesting beyond the cap decodes to None instead of crashing.

@@ -15,7 +15,7 @@
 
 use crate::store::{ArtifactKey, ArtifactStore, StoreConfig, StoreError, StoreStats};
 use raindrop::pipeline::{ObfConfig, PipelineWarm};
-use raindrop::stable_hash_bytes;
+use raindrop::StableHasher;
 use raindrop_machine::Image;
 use raindrop_sched::{JobHandle, Scheduler, SchedulerStats, WorkerCtx};
 use raindrop_synth::minic::Program;
@@ -52,16 +52,21 @@ impl ProtectRequest {
 }
 
 /// Stable hash of a program *and* its target list — the `source_hash`
-/// component of an [`ArtifactKey`]. Uses the deterministic JSON rendering
-/// of the program (field order fixed by the derive), so equal programs hash
-/// equal across processes.
+/// component of an [`ArtifactKey`]: FNV-1a-128 over the program's compact
+/// JSON (field order fixed by the derive) followed by one `;target=<name>`
+/// per target, so equal programs hash equal across processes. The JSON
+/// writer streams straight into the hasher; no tree or text is built.
 pub fn source_hash(program: &Program, targets: &[String]) -> u128 {
-    let mut rendered = serde_json::to_string(program).unwrap_or_default();
-    for t in targets {
-        rendered.push_str(";target=");
-        rendered.push_str(t);
+    let mut h = StableHasher::new();
+    if serde_json::to_writer(&mut h, program).is_err() {
+        // A program that cannot render as JSON hashes as an empty rendering.
+        h = StableHasher::new();
     }
-    stable_hash_bytes(rendered.as_bytes())
+    for t in targets {
+        h.write(b";target=");
+        h.write(t.as_bytes());
+    }
+    h.finish()
 }
 
 /// A served protection: the artifact plus provenance.
