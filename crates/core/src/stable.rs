@@ -44,6 +44,7 @@ impl StableHasher {
     }
 
     /// Absorbs raw bytes.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u128::from(b);
@@ -60,6 +61,7 @@ impl StableHasher {
 /// A hasher is a byte sink: serializers stream straight into it (e.g.
 /// `serde_json::to_writer`) instead of rendering a buffer to hash.
 impl std::io::Write for StableHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
         StableHasher::write(self, bytes);
         Ok(bytes.len())
