@@ -7,6 +7,16 @@
 //! small domains and bounded random search — the same concrete strategies
 //! the engine previously hard-coded.
 //!
+//! Every candidate those strategies propose is checked against the whole
+//! recorded path. The solver compiles the record once into a flat
+//! evaluation tape — the union of the constraints' operand DAGs in
+//! topological order, one `(op, slot, slot)` entry per node, constants
+//! preloaded — and checks a candidate by running the tape forward,
+//! testing constraint *k* as soon as its operands are computed and
+//! stopping at the first violation. [`Constraint::satisfied_as_recorded`]
+//! over [`ExprArena::eval`] is the reference semantics the tape is tested
+//! against.
+//!
 //! # Example
 //!
 //! ```
@@ -27,7 +37,9 @@
 //! assert_eq!(input[0], 42);
 //! ```
 
-use crate::sym::{hash_stream, invert, EvalMemo, ExprArena, ExprId};
+use crate::sym::{
+    eval_bin, eval_un, hash_stream, invert, BinKind, EvalMemo, Expr, ExprArena, ExprId, UnKind,
+};
 use raindrop_machine::{Cond, Flags};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -61,6 +73,11 @@ impl Constraint {
     pub fn outcome(&self, arena: &ExprArena, input: &[u64], memo: &mut EvalMemo) -> bool {
         let a = arena.eval(self.lhs, input, memo);
         let b = arena.eval(self.rhs, input, memo);
+        self.outcome_of(a, b)
+    }
+
+    /// The branch outcome for concrete values of the two flag operands.
+    fn outcome_of(&self, a: u64, b: u64) -> bool {
         let mut flags = Flags::cleared();
         if self.flag_is_sub {
             flags.set_sub(a, b, false);
@@ -138,7 +155,8 @@ pub struct VarDomain {
 /// deepest-first flip sweep of one record — strategies re-try overlapping
 /// candidate sets at every flip (the exhaustive domain walk literally
 /// replays the same values), which the memo collapses from quadratic
-/// re-evaluation into one scan each.
+/// re-evaluation into one scan each. A scan runs the record's compiled
+/// [`Tape`], which memo misses build up as they reach deeper constraints.
 pub struct SearchSolver {
     rng: ChaCha8Rng,
     /// RNG draws consumed so far — the only live state a checkpoint must
@@ -149,12 +167,12 @@ pub struct SearchSolver {
     /// (the longest query seen, with its last constraint unflipped);
     /// shorter queries of the same sweep are its prefixes.
     record: Vec<Constraint>,
+    /// `record` compiled for candidate scans, grown at memo misses.
+    tape: Tape,
     /// candidate input -> first index of `record` it violates.
     memo: HashMap<Vec<u64>, usize>,
     /// Eval memo for the hint input (valid across one `feasible` call).
     eval_hint: EvalMemo,
-    /// Eval memo for candidate scans (reset per candidate).
-    eval_cand: EvalMemo,
 }
 
 impl Default for SearchSolver {
@@ -172,16 +190,16 @@ impl SearchSolver {
             rng: ChaCha8Rng::seed_from_u64(0xa77ac4),
             draws: 0,
             record: Vec::new(),
+            tape: Tape::default(),
             memo: HashMap::new(),
             eval_hint: EvalMemo::default(),
-            eval_cand: EvalMemo::default(),
         }
     }
 
     /// Aligns the stored record with `query` (whose last constraint is the
     /// flipped one): if the query's as-recorded form is a prefix of the
-    /// stored record, the memo stays valid; otherwise this is a new record
-    /// and the memo is cleared.
+    /// stored record, the memo and tape stay valid; otherwise this is a new
+    /// record and both are dropped.
     fn sync_record(&mut self, query: &[Constraint]) {
         let n = query.len();
         let mut last = query[n - 1];
@@ -193,6 +211,7 @@ impl SearchSolver {
             self.record.clear();
             self.record.extend_from_slice(&query[..n - 1]);
             self.record.push(last);
+            self.tape.clear();
             self.memo.clear();
         }
     }
@@ -203,12 +222,7 @@ impl SearchSolver {
         if let Some(&v) = self.memo.get(input) {
             return v;
         }
-        self.eval_cand.reset();
-        let v = self
-            .record
-            .iter()
-            .position(|c| !c.satisfied_as_recorded(arena, input, &mut self.eval_cand))
-            .unwrap_or(self.record.len());
+        let v = self.tape.first_violated(arena, &self.record, input);
         self.memo.insert(input.to_vec(), v);
         v
     }
@@ -329,9 +343,10 @@ impl SearchSolver {
 
     /// Signals that subsequent queries come from a fresh engine run (new
     /// arena: previously seen [`ExprId`]s are meaningless), so the id-keyed
-    /// record and memo are dropped.
+    /// record, tape and memo are dropped.
     pub fn begin_run(&mut self) {
         self.record.clear();
+        self.tape.clear();
         self.memo.clear();
     }
 
@@ -349,6 +364,144 @@ impl SearchSolver {
             let _: u64 = self.rng.gen();
         }
         self.draws = self.draws.max(draws);
+    }
+}
+
+/// One tape operation; operands are slot numbers.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Input variable `i` (0 when the input is shorter).
+    Input(u32),
+    /// Binary operator over two slots.
+    Bin(BinKind, u32, u32),
+    /// Unary operator over one slot.
+    Un(UnKind, u32),
+}
+
+/// A recorded constraint as the tape checks it: its operands are in slots
+/// `lhs` and `rhs` once the tape has run up to entry `end`.
+#[derive(Debug, Clone, Copy)]
+struct Check {
+    end: usize,
+    lhs: u32,
+    rhs: u32,
+    constraint: Constraint,
+}
+
+/// A record compiled into straight-line code: the union of its
+/// constraints' operand DAGs in topological order, one `(op, slot, slot)`
+/// entry per non-constant node writing its own slot, constants preloaded
+/// into theirs. Running the tape for a candidate computes the values
+/// [`ExprArena::eval`] would, each shared node once, without per-node memo
+/// stamps or a traversal stack.
+///
+/// Constraint *k* is compiled the first time a scan gets past constraint
+/// *k − 1*: a scan that stops early never pays for the record's tail.
+#[derive(Default)]
+struct Tape {
+    /// `(op, destination slot)` in evaluation order.
+    ops: Vec<(Op, u32)>,
+    /// One per constraint compiled so far, in record order.
+    checks: Vec<Check>,
+    /// One value per placed node.
+    slots: Vec<u64>,
+    /// Arena node -> its slot + 1 (0: not placed), sized to the arena.
+    slot_of: Vec<u32>,
+    /// Placed nodes, in slot order.
+    placed: Vec<ExprId>,
+    stack: Vec<ExprId>,
+}
+
+impl Tape {
+    /// Forgets the compiled record (the arena-sized map is kept, cleared).
+    fn clear(&mut self) {
+        for id in self.placed.drain(..) {
+            self.slot_of[id.index()] = 0;
+        }
+        self.ops.clear();
+        self.checks.clear();
+        self.slots.clear();
+    }
+
+    /// Compiles the next constraint of the record.
+    fn push_check(&mut self, arena: &ExprArena, c: Constraint) {
+        if self.slot_of.len() < arena.len() {
+            self.slot_of.resize(arena.len(), 0);
+        }
+        self.place(arena, c.lhs);
+        self.place(arena, c.rhs);
+        let (lhs, rhs) = (self.slot_of[c.lhs.index()] - 1, self.slot_of[c.rhs.index()] - 1);
+        self.checks.push(Check { end: self.ops.len(), lhs, rhs, constraint: c });
+    }
+
+    /// Places `root` and its unplaced descendants, children first.
+    fn place(&mut self, arena: &ExprArena, root: ExprId) {
+        let slot_of = &mut self.slot_of;
+        let stack = &mut self.stack;
+        stack.push(root);
+        while let Some(&id) = stack.last() {
+            if slot_of[id.index()] != 0 {
+                stack.pop();
+                continue;
+            }
+            let expr = arena.expr(id);
+            let height = stack.len();
+            match expr {
+                Expr::Bin(_, a, b) => {
+                    stack.extend([b, a].into_iter().filter(|x| slot_of[x.index()] == 0))
+                }
+                Expr::Un(_, a) if slot_of[a.index()] == 0 => stack.push(a),
+                _ => {}
+            }
+            if stack.len() > height {
+                continue;
+            }
+            stack.pop();
+            let dst = self.slots.len() as u32;
+            slot_of[id.index()] = dst + 1;
+            self.placed.push(id);
+            let at = |x: ExprId| slot_of[x.index()] - 1;
+            let op = match expr {
+                Expr::Const(v) => {
+                    self.slots.push(v);
+                    continue;
+                }
+                Expr::Input(i) => Op::Input(i),
+                Expr::Bin(k, a, b) => Op::Bin(k, at(a), at(b)),
+                Expr::Un(k, a) => Op::Un(k, at(a)),
+            };
+            self.slots.push(0);
+            self.ops.push((op, dst));
+        }
+    }
+
+    /// First constraint of `record` that `input` violates as recorded
+    /// (`record.len()` if none). `record` must be the record the tape was
+    /// compiled from, or extend it.
+    fn first_violated(&mut self, arena: &ExprArena, record: &[Constraint], input: &[u64]) -> usize {
+        let mut pc = 0;
+        for (k, &c) in record.iter().enumerate() {
+            if k == self.checks.len() {
+                self.push_check(arena, c);
+            }
+            let check = self.checks[k];
+            debug_assert_eq!(check.constraint, c, "tape compiled from another record");
+            for &(op, dst) in &self.ops[pc..check.end] {
+                self.slots[dst as usize] = match op {
+                    Op::Input(i) => input.get(i as usize).copied().unwrap_or(0),
+                    Op::Bin(kind, a, b) => {
+                        eval_bin(kind, self.slots[a as usize], self.slots[b as usize])
+                    }
+                    Op::Un(kind, a) => eval_un(kind, self.slots[a as usize]),
+                };
+            }
+            pc = check.end;
+            let (a, b) = (self.slots[check.lhs as usize], self.slots[check.rhs as usize]);
+            if c.outcome_of(a, b) != c.taken {
+                return k;
+            }
+        }
+        record.len()
     }
 }
 
@@ -388,7 +541,7 @@ impl SetDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sym::BinKind;
+    use proptest::prelude::*;
 
     fn eq_constraint(arena: &mut ExprArena, lhs: ExprId, value: u64, taken: bool) -> Constraint {
         let rhs = arena.constant(value);
@@ -484,5 +637,265 @@ mod tests {
         assert_ne!(a.canonical_bytes(&arena), flipped.canonical_bytes(&arena));
         let other_cond = Constraint { cond: Cond::Ne, ..b };
         assert_ne!(a.structural_hash(&arena), other_cond.structural_hash(&arena));
+    }
+
+    /// The reference scan: [`Constraint::satisfied_as_recorded`] over
+    /// [`ExprArena::eval`], constraint by constraint.
+    fn reference(arena: &ExprArena, record: &[Constraint], input: &[u64]) -> usize {
+        let mut memo = EvalMemo::default();
+        record
+            .iter()
+            .position(|c| !c.satisfied_as_recorded(arena, input, &mut memo))
+            .unwrap_or(record.len())
+    }
+
+    /// `record[..=i]` with constraint `i` flipped: the query the explorer
+    /// sends for flip `i`.
+    fn flip_query(record: &[Constraint], i: usize) -> Vec<Constraint> {
+        let mut query = record[..=i].to_vec();
+        query[i].taken = !query[i].taken;
+        query
+    }
+
+    const BINS: [BinKind; 13] = [
+        BinKind::Add,
+        BinKind::Sub,
+        BinKind::Mul,
+        BinKind::Div,
+        BinKind::Rem,
+        BinKind::And,
+        BinKind::Or,
+        BinKind::Xor,
+        BinKind::Shl,
+        BinKind::Shr,
+        BinKind::Sar,
+        BinKind::Eq,
+        BinKind::Ult,
+    ];
+    const UNS: [UnKind; 3] = [UnKind::Neg, UnKind::Not, UnKind::SextByte];
+
+    /// One DAG-construction step; child references index the pool of
+    /// nodes built so far (modulo its size), so late nodes share early
+    /// ones many times over.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Const(u64),
+        Input(u32),
+        Bin(usize, usize, usize),
+        Un(usize, usize),
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            // Zero divisors and the 0/1/-1 identities the arena simplifies.
+            (0u64..4).prop_map(Step::Const),
+            // Shift counts on both sides of 64.
+            (56u64..136).prop_map(Step::Const),
+            any::<u64>().prop_map(Step::Const),
+            // Variable 3 lies beyond every candidate below: it reads 0.
+            (0u32..4).prop_map(Step::Input),
+            (0usize..BINS.len(), any::<usize>(), any::<usize>())
+                .prop_map(|(k, a, b)| Step::Bin(k, a, b)),
+            (0usize..UNS.len(), any::<usize>()).prop_map(|(k, a)| Step::Un(k, a)),
+        ]
+    }
+
+    fn build(arena: &mut ExprArena, steps: &[Step]) -> Vec<ExprId> {
+        let mut pool = vec![arena.input(0), arena.constant(0)];
+        for step in steps {
+            let id = match *step {
+                Step::Const(c) => arena.constant(c),
+                Step::Input(v) => arena.input(v as usize),
+                Step::Bin(k, a, b) => {
+                    let (a, b) = (pool[a % pool.len()], pool[b % pool.len()]);
+                    arena.bin(BINS[k], a, b)
+                }
+                Step::Un(k, a) => {
+                    let a = pool[a % pool.len()];
+                    arena.un(UNS[k], a)
+                }
+            };
+            pool.push(id);
+        }
+        pool
+    }
+
+    /// Small values hit zero divisors and shift counts; wide ones hit
+    /// sign bits and counts past 64.
+    fn value_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..3, 60u64..70, any::<u64>()]
+    }
+
+    /// `(lhs, rhs, flag_is_sub, cond, flipped)`: operands index the pool;
+    /// `flipped` (1 in 8) records the direction the hint does *not* take,
+    /// so scans reach deep into the record before they stop.
+    type Spec = (usize, usize, bool, usize, bool);
+
+    fn constraint_strategy() -> impl Strategy<Value = Spec> {
+        (any::<usize>(), any::<usize>(), 0u8..2, 0usize..Cond::ALL.len(), 0u8..8)
+            .prop_map(|(l, r, sub, c, f)| (l, r, sub == 0, c, f == 0))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tape answers every candidate exactly as the reference scan
+        /// does, over random shared DAGs and random records, with one tape
+        /// grown across all candidates in turn.
+        #[test]
+        fn tape_agrees_with_the_reference_scan(
+            steps in proptest::collection::vec(step_strategy(), 0..80),
+            specs in proptest::collection::vec(constraint_strategy(), 1..40),
+            hint in proptest::collection::vec(value_strategy(), 0..4),
+            cands in proptest::collection::vec(
+                proptest::collection::vec(value_strategy(), 0..4), 1..24),
+        ) {
+            let mut arena = ExprArena::new();
+            let pool = build(&mut arena, &steps);
+            let mut memo = EvalMemo::default();
+            let record: Vec<Constraint> = specs
+                .iter()
+                .map(|&(l, r, flag_is_sub, c, flipped)| {
+                    let mut c = Constraint {
+                        lhs: pool[l % pool.len()],
+                        rhs: pool[r % pool.len()],
+                        flag_is_sub,
+                        cond: Cond::ALL[c],
+                        taken: false,
+                    };
+                    memo.reset();
+                    c.taken = c.outcome(&arena, &hint, &mut memo) != flipped;
+                    c
+                })
+                .collect();
+            let mut tape = Tape::default();
+            for input in std::iter::once(&hint).chain(&cands) {
+                prop_assert_eq!(
+                    tape.first_violated(&arena, &record, input),
+                    reference(&arena, &record, input),
+                    "input {:?}", input
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tape_agrees_with_the_reference_on_each_edge_case() {
+        let mut arena = ExprArena::new();
+        let x = arena.input(0);
+        let y = arena.input(1);
+        let far = arena.input(9);
+        let c = |arena: &mut ExprArena, v| arena.constant(v);
+        let mut sides = vec![far];
+        // Division and remainder by a divisor that is zero for y = 0.
+        sides.push(arena.bin(BinKind::Div, x, y));
+        sides.push(arena.bin(BinKind::Rem, x, y));
+        // Shift counts of 64 and more, constant and symbolic.
+        for op in [BinKind::Shl, BinKind::Shr, BinKind::Sar] {
+            let k = c(&mut arena, 65);
+            sides.push(arena.bin(op, x, k));
+            sides.push(arena.bin(op, x, y));
+        }
+        sides.push(arena.un(UnKind::SextByte, x));
+        // A shared sub-DAG: both sides of later constraints reuse it.
+        let shared = arena.bin(BinKind::Mul, x, y);
+        let k = c(&mut arena, 7);
+        sides.push(arena.bin(BinKind::Add, shared, k));
+        sides.push(arena.bin(BinKind::Xor, shared, x));
+        // A constant-only side.
+        sides.push(c(&mut arena, 0x80));
+        let mut record = Vec::new();
+        for (i, &lhs) in sides.iter().enumerate() {
+            for &rhs in &sides[i..] {
+                for flag_is_sub in [true, false] {
+                    record.push(Constraint { lhs, rhs, flag_is_sub, cond: Cond::E, taken: true });
+                }
+            }
+        }
+        let k = c(&mut arena, 0x80);
+        record.push(Constraint { lhs: k, rhs: k, flag_is_sub: false, cond: Cond::S, taken: true });
+        let values = [0, 1, 2, 63, 64, 65, 0x7f, 0x80, 0xff, u64::MAX, 1 << 63];
+        for cond in Cond::ALL {
+            for taken in [false, true] {
+                let record: Vec<Constraint> =
+                    record.iter().map(|&r| Constraint { cond, taken, ..r }).collect();
+                let mut tape = Tape::default();
+                for &a in &values {
+                    for &b in &values {
+                        for input in [vec![a, b], vec![a], vec![]] {
+                            assert_eq!(
+                                tape.first_violated(&arena, &record, &input),
+                                reference(&arena, &record, &input),
+                                "{cond:?} taken={taken} input {input:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Records for the stale-tape regressions: `x > 8j` for `j < n`, taken
+    /// or not; a candidate's first violation moves with both.
+    fn threshold_record(arena: &mut ExprArena, x: ExprId, n: u64, taken: bool) -> Vec<Constraint> {
+        (0..n)
+            .map(|j| {
+                let k = arena.constant(8 * j);
+                Constraint { lhs: k, rhs: x, flag_is_sub: true, cond: Cond::B, taken }
+            })
+            .collect()
+    }
+
+    fn assert_solver_matches_reference(solver: &mut SearchSolver, arena: &ExprArena) {
+        for v in 0..1100u64 {
+            let record = solver.record.clone();
+            assert_eq!(solver.first_violated(arena, &[v]), reference(arena, &record, &[v]), "{v}");
+        }
+    }
+
+    #[test]
+    fn a_non_prefix_query_mid_sweep_rebuilds_the_tape() {
+        let mut arena = ExprArena::new();
+        let x = arena.input(0);
+        let a = threshold_record(&mut arena, x, 1100, true);
+        let b = threshold_record(&mut arena, x, 1100, false);
+        let mut solver = SearchSolver::new();
+        // Deepest-first sweep of record a; the scans compile its tape.
+        for i in [1099, 1050, 600] {
+            solver.sync_record(&flip_query(&a, i));
+            assert_solver_matches_reference(&mut solver, &arena);
+        }
+        // Mid-sweep, a query from record b: not a prefix of a.
+        solver.sync_record(&flip_query(&b, 1030));
+        assert_eq!(solver.first_violated(&arena, &[200]), 0);
+        assert_solver_matches_reference(&mut solver, &arena);
+        // And back to a prefix of a.
+        solver.sync_record(&flip_query(&a, 1040));
+        assert_eq!(solver.first_violated(&arena, &[8 * 1028]), 1028);
+        assert_solver_matches_reference(&mut solver, &arena);
+    }
+
+    #[test]
+    fn begin_run_with_a_fresh_arena_rebuilds_the_tape() {
+        let mut first = ExprArena::new();
+        let x = first.input(0);
+        let record = threshold_record(&mut first, x, 40, true);
+        // A second run's arena whose ids name other nodes: the input and
+        // the constant 0 trade places, so the same record reads `x < 0`,
+        // then `8j < 0`.
+        let mut second = ExprArena::new();
+        assert_eq!(second.constant(0), x);
+        for j in 0..40 {
+            second.input(0);
+            second.constant(8 * j);
+        }
+        let mut solver = SearchSolver::new();
+        solver.sync_record(&flip_query(&record, 39));
+        assert_eq!(solver.first_violated(&first, &[100]), 13);
+        assert_solver_matches_reference(&mut solver, &first);
+        solver.begin_run();
+        solver.sync_record(&flip_query(&record, 39));
+        assert_eq!(solver.first_violated(&second, &[100]), 0);
+        assert_solver_matches_reference(&mut solver, &second);
     }
 }
