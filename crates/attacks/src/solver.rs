@@ -8,14 +8,14 @@
 //! the engine previously hard-coded.
 //!
 //! Every candidate those strategies propose is checked against the whole
-//! recorded path. The solver compiles the record once into a flat
-//! evaluation tape — the union of the constraints' operand DAGs in
-//! topological order, one `(op, slot, slot)` entry per node, constants
-//! preloaded — and checks a candidate by running the tape forward,
-//! testing constraint *k* as soon as its operands are computed and
-//! stopping at the first violation. [`Constraint::satisfied_as_recorded`]
-//! over [`ExprArena::eval`] is the reference semantics the tape is tested
-//! against.
+//! recorded path. The solver compiles the record into a flat evaluation
+//! tape — the union of the constraints' operand DAGs in topological
+//! order, one `(op, slot, slot)` entry per node, constants preloaded,
+//! each constraint compiled when a scan first reaches it — and checks a
+//! candidate by running the tape forward, testing constraint *k* as soon
+//! as its operands are computed and stopping at the first violation.
+//! [`Constraint::satisfied_as_recorded`] over [`ExprArena::eval`] is the
+//! reference semantics the tape is tested against.
 //!
 //! # Example
 //!
@@ -155,8 +155,9 @@ pub struct VarDomain {
 /// deepest-first flip sweep of one record — strategies re-try overlapping
 /// candidate sets at every flip (the exhaustive domain walk literally
 /// replays the same values), which the memo collapses from quadratic
-/// re-evaluation into one scan each. A scan runs the record's compiled
-/// [`Tape`], which memo misses build up as they reach deeper constraints.
+/// re-evaluation into one scan each. A scan runs the record's evaluation
+/// tape (see the [module docs](self)), which memo misses build up as they
+/// reach deeper constraints.
 pub struct SearchSolver {
     rng: ChaCha8Rng,
     /// RNG draws consumed so far — the only live state a checkpoint must
@@ -457,6 +458,7 @@ impl Tape {
                 continue;
             }
             stack.pop();
+            // Slots number distinct arena nodes, and the arena holds < 2^32.
             let dst = self.slots.len() as u32;
             slot_of[id.index()] = dst + 1;
             self.placed.push(id);

@@ -700,8 +700,8 @@ impl ExprArena {
 ///
 /// Dense arrays indexed by [`ExprId`] (no hashing on the hot path). A memo
 /// is only meaningful for a single input; [`EvalMemo::reset`] invalidates
-/// all entries in O(1) by bumping the epoch, so one allocation serves every
-/// candidate the solver tries.
+/// all entries in O(1) by bumping the epoch, so one allocation serves
+/// every input in turn.
 #[derive(Default)]
 pub struct EvalMemo {
     vals: Vec<u64>,
