@@ -787,50 +787,61 @@ mod tests {
         let x = arena.input(0);
         let y = arena.input(1);
         let far = arena.input(9);
-        let c = |arena: &mut ExprArena, v| arena.constant(v);
         let mut sides = vec![far];
         // Division and remainder by a divisor that is zero for y = 0.
         sides.push(arena.bin(BinKind::Div, x, y));
         sides.push(arena.bin(BinKind::Rem, x, y));
         // Shift counts of 64 and more, constant and symbolic.
         for op in [BinKind::Shl, BinKind::Shr, BinKind::Sar] {
-            let k = c(&mut arena, 65);
+            let k = arena.constant(65);
             sides.push(arena.bin(op, x, k));
             sides.push(arena.bin(op, x, y));
         }
         sides.push(arena.un(UnKind::SextByte, x));
         // A shared sub-DAG: both sides of later constraints reuse it.
         let shared = arena.bin(BinKind::Mul, x, y);
-        let k = c(&mut arena, 7);
+        let k = arena.constant(7);
         sides.push(arena.bin(BinKind::Add, shared, k));
         sides.push(arena.bin(BinKind::Xor, shared, x));
         // A constant-only side.
-        sides.push(c(&mut arena, 0x80));
-        let mut record = Vec::new();
-        for (i, &lhs) in sides.iter().enumerate() {
-            for &rhs in &sides[i..] {
-                for flag_is_sub in [true, false] {
-                    record.push(Constraint { lhs, rhs, flag_is_sub, cond: Cond::E, taken: true });
+        sides.push(arena.constant(0x80));
+        let k = arena.constant(0x80);
+        let values = [0, 1, 2, 63, 64, 65, 0x7f, 0x80, 0xff, u64::MAX, 1 << 63];
+        let mut memo = EvalMemo::default();
+        for hint in [vec![0, 0], vec![65, 0], vec![0x80, 64], vec![u64::MAX, 1]] {
+            // Every pair of sides under both flag kinds, the conditions in
+            // rotation, each taken the way the hint goes: a candidate's scan
+            // can stop anywhere along the record.
+            let mut record = Vec::new();
+            for (i, &lhs) in sides.iter().enumerate() {
+                for (j, &rhs) in sides[i..].iter().enumerate() {
+                    for flag_is_sub in [true, false] {
+                        let cond = Cond::ALL[(i + j) % Cond::ALL.len()];
+                        record.push(Constraint { lhs, rhs, flag_is_sub, cond, taken: false });
+                    }
                 }
             }
-        }
-        let k = c(&mut arena, 0x80);
-        record.push(Constraint { lhs: k, rhs: k, flag_is_sub: false, cond: Cond::S, taken: true });
-        let values = [0, 1, 2, 63, 64, 65, 0x7f, 0x80, 0xff, u64::MAX, 1 << 63];
-        for cond in Cond::ALL {
-            for taken in [false, true] {
-                let record: Vec<Constraint> =
-                    record.iter().map(|&r| Constraint { cond, taken, ..r }).collect();
-                let mut tape = Tape::default();
-                for &a in &values {
-                    for &b in &values {
-                        for input in [vec![a, b], vec![a], vec![]] {
-                            assert_eq!(
-                                tape.first_violated(&arena, &record, &input),
-                                reference(&arena, &record, &input),
-                                "{cond:?} taken={taken} input {input:?}"
-                            );
-                        }
+            // A constraint over constants alone.
+            record.push(Constraint {
+                lhs: k,
+                rhs: k,
+                flag_is_sub: false,
+                cond: Cond::S,
+                taken: false,
+            });
+            for c in &mut record {
+                memo.reset();
+                c.taken = c.outcome(&arena, &hint, &mut memo);
+            }
+            let mut tape = Tape::default();
+            for &a in &values {
+                for &b in &values {
+                    for input in [vec![a, b], vec![a], vec![]] {
+                        assert_eq!(
+                            tape.first_violated(&arena, &record, &input),
+                            reference(&arena, &record, &input),
+                            "hint {hint:?} input {input:?}"
+                        );
                     }
                 }
             }
@@ -849,8 +860,8 @@ mod tests {
     }
 
     fn assert_solver_matches_reference(solver: &mut SearchSolver, arena: &ExprArena) {
+        let record = solver.record.clone();
         for v in 0..1100u64 {
-            let record = solver.record.clone();
             assert_eq!(solver.first_violated(arena, &[v]), reference(arena, &record, &[v]), "{v}");
         }
     }
