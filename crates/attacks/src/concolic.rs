@@ -57,11 +57,12 @@
 //! [`ExecStats`]: raindrop_machine::ExecStats
 //! [`Snapshot`]: raindrop_machine::Snapshot
 
+use crate::hashing::{FastMap, FastSet};
 use crate::solver::{Constraint, SearchSolver, SetDigest, VarDomain};
 use crate::sym::{BinKind, EvalMemo, ExprArena, ExprId, UnKind};
 use raindrop_machine::{AluOp, Cond, EmuError, Emulator, Image, Inst, Reg, Snapshot};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -283,6 +284,11 @@ impl FlagTrack {
 /// returns the original expression unchanged, so values round-tripped
 /// through push/pop or spill slots do not blow up.
 ///
+/// Every tracked word and byte is also counted in each 8-byte *granule*
+/// (`addr >> 3`) it overlaps. Most accesses touch no tracked memory, and
+/// the granule counts answer that with one or two lookups instead of a
+/// probe for each byte and each word that could overlap.
+///
 /// The `hazard` flag records that some input-dependent state escaped the
 /// tracking (concretization, symbolic addressing, tainted-flag consumption):
 /// from that point on the state can no longer be reconstructed for a
@@ -290,8 +296,10 @@ impl FlagTrack {
 #[derive(Clone)]
 struct Shadow {
     regs: [Option<ExprId>; 16],
-    words: HashMap<u64, ExprId>,
-    bytes: HashMap<u64, ExprId>,
+    words: FastMap<u64, ExprId>,
+    bytes: FastMap<u64, ExprId>,
+    /// Tracked words and bytes overlapping each granule (no zero entries).
+    granules: FastMap<u64, u32>,
     flags: FlagTrack,
     hazard: bool,
     hazard_cause: Option<&'static str>,
@@ -301,8 +309,9 @@ impl Shadow {
     fn new() -> Shadow {
         Shadow {
             regs: Default::default(),
-            words: HashMap::new(),
-            bytes: HashMap::new(),
+            words: FastMap::default(),
+            bytes: FastMap::default(),
+            granules: FastMap::default(),
             flags: FlagTrack::Concrete,
             hazard: false,
             hazard_cause: None,
@@ -337,9 +346,68 @@ impl Shadow {
         self.regs[r.index()] = e;
     }
 
+    /// Whether any tracked word or byte overlaps a granule of the `len`
+    /// bytes at `addr` (wrapping). False means nothing tracked overlaps
+    /// those bytes; true is only a hint.
+    fn granule_hit(&self, addr: u64, len: u64) -> bool {
+        let first = addr >> 3;
+        let n = ((addr & 7) + len).div_ceil(8);
+        (0..n).any(|i| self.granules.contains_key(&(first.wrapping_add(i) & (u64::MAX >> 3))))
+    }
+
+    /// Adds `delta` (±1) to the count of each granule the `len` (1 or 8)
+    /// bytes at `addr` overlap.
+    fn count_granules(&mut self, addr: u64, len: u64, delta: i32) {
+        let first = addr >> 3;
+        let last = addr.wrapping_add(len - 1) >> 3;
+        self.count_granule(first, delta);
+        if last != first {
+            self.count_granule(last, delta);
+        }
+    }
+
+    fn count_granule(&mut self, g: u64, delta: i32) {
+        let n = self.granules.entry(g).or_insert(0);
+        *n = n.checked_add_signed(delta).expect("granule count stays non-negative");
+        if *n == 0 {
+            self.granules.remove(&g);
+        }
+    }
+
+    fn insert_word(&mut self, addr: u64, e: ExprId) {
+        if self.words.insert(addr, e).is_none() {
+            self.count_granules(addr, 8, 1);
+        }
+    }
+
+    fn remove_word(&mut self, addr: u64) -> bool {
+        let had = self.words.remove(&addr).is_some();
+        if had {
+            self.count_granules(addr, 8, -1);
+        }
+        had
+    }
+
+    fn insert_byte(&mut self, addr: u64, e: ExprId) {
+        if self.bytes.insert(addr, e).is_none() {
+            self.count_granules(addr, 1, 1);
+        }
+    }
+
+    fn remove_byte(&mut self, addr: u64) {
+        if self.bytes.remove(&addr).is_some() {
+            self.count_granules(addr, 1, -1);
+        }
+    }
+
     fn clear_range(&mut self, addr: u64, len: u64) {
+        // Every word or byte removed below overlaps the range, so it is
+        // counted in one of the range's granules.
+        if !self.granule_hit(addr, len) {
+            return;
+        }
         for i in 0..len {
-            self.bytes.remove(&addr.wrapping_add(i));
+            self.remove_byte(addr.wrapping_add(i));
         }
         let end = addr.wrapping_add(len);
         for d in 0..8u64 {
@@ -347,7 +415,7 @@ impl Shadow {
             if self.words.contains_key(&w) {
                 // Overlap test: word [w, w+8) vs [addr, addr+len).
                 if w < end && addr < w.wrapping_add(8) {
-                    self.words.remove(&w);
+                    self.remove_word(w);
                     // Dropping a partially-overlapped word loses tracking
                     // for the bytes outside the cleared range.
                     if w < addr || w.wrapping_add(8) > end {
@@ -358,21 +426,29 @@ impl Shadow {
         }
         for i in 1..len {
             let w = addr.wrapping_add(i);
-            if self.words.remove(&w).is_some() && w.wrapping_add(8) > end {
+            if self.remove_word(w) && w.wrapping_add(8) > end {
                 self.set_hazard("partial overwrite of tracked word");
             }
         }
     }
 
     fn mem_symbolic(&self, addr: u64, len: u64) -> bool {
-        (0..len).any(|i| self.bytes.contains_key(&addr.wrapping_add(i)))
-            || (0..(len + 7)).any(|d| {
-                let w = addr.wrapping_add(len).wrapping_sub(1).wrapping_sub(d);
-                self.words.contains_key(&w) && w.wrapping_add(8) > addr
-            })
+        // A byte or word found below overlaps the range (wrapping), so it
+        // is counted in one of the range's granules.
+        self.granule_hit(addr, len)
+            && ((0..len).any(|i| self.bytes.contains_key(&addr.wrapping_add(i)))
+                || (0..(len + 7)).any(|d| {
+                    let w = addr.wrapping_add(len).wrapping_sub(1).wrapping_sub(d);
+                    self.words.contains_key(&w) && w.wrapping_add(8) > addr
+                }))
     }
 
     fn mem_byte(&self, arena: &mut ExprArena, addr: u64, concrete: u8) -> ExprId {
+        // A tracked byte at `addr`, or a word holding it, counts in its
+        // granule.
+        if !self.granule_hit(addr, 1) {
+            return arena.constant(concrete as u64);
+        }
         if let Some(&e) = self.bytes.get(&addr) {
             return e;
         }
@@ -415,7 +491,7 @@ impl Shadow {
         if let Some(e) = expr {
             if arena.is_symbolic(e) {
                 if !arena.dag_oversize(e, MAX_EXPR_NODES) {
-                    self.words.insert(addr, e);
+                    self.insert_word(addr, e);
                 } else {
                     self.set_hazard("expr-size concretization (store64)");
                 }
@@ -430,7 +506,7 @@ impl Shadow {
                 if !arena.dag_oversize(e, MAX_EXPR_NODES) {
                     let mask = arena.constant(0xff);
                     let masked = arena.bin(BinKind::And, e, mask);
-                    self.bytes.insert(addr, masked);
+                    self.insert_byte(addr, masked);
                 } else {
                     self.set_hazard("expr-size concretization (store8)");
                 }
@@ -1257,7 +1333,7 @@ struct RecordData {
 /// One shadowed execution plus the fork points captured along it.
 struct PathOutput {
     record: PathRecord,
-    forks: HashMap<usize, Rc<ForkPoint>>,
+    forks: FastMap<usize, Rc<ForkPoint>>,
     emulated: u64,
 }
 
@@ -1320,7 +1396,7 @@ impl<'a> Engine<'a> {
         resume: Option<&ResumePoint>,
     ) -> Result<PathOutput, EmuError> {
         let mut constraints: Vec<Constraint>;
-        let mut seen: HashSet<Constraint>;
+        let mut seen: FastSet<Constraint>;
         let mut shadow;
         let start_instructions;
 
@@ -1338,7 +1414,7 @@ impl<'a> Engine<'a> {
                 start_instructions = 0;
                 shadow = Shadow::new();
                 constraints = Vec::new();
-                seen = HashSet::new();
+                seen = FastSet::default();
 
                 // Seed the concrete input and its shadow.
                 let args: Vec<u64> = match &self.spec {
@@ -1354,7 +1430,7 @@ impl<'a> Engine<'a> {
                         self.emu.mem.write_bytes(*addr, &concrete);
                         for i in 0..*len {
                             let x = self.arena.input(i);
-                            shadow.bytes.insert(addr + i as u64, x);
+                            shadow.insert_byte(addr + i as u64, x);
                         }
                         args.clone()
                     }
@@ -1374,7 +1450,7 @@ impl<'a> Engine<'a> {
         }
         self.emu.set_budget(budget);
 
-        let mut forks: HashMap<usize, Rc<ForkPoint>> = HashMap::new();
+        let mut forks: FastMap<usize, Rc<ForkPoint>> = FastMap::default();
         // First-hazard accounting, checked at the post-instruction
         // checkpoint so it is identical in both explore modes (fork-mode
         // pre-constraint probing can set the flag a moment earlier within
@@ -1630,7 +1706,7 @@ pub struct DseAttack<'a> {
     /// particular) are solved exactly once; the hashes are
     /// arena-independent, so the cache stays valid across runs of one
     /// attack instance.
-    solve_cache: HashMap<(u128, u128, u128), Option<Vec<u64>>>,
+    solve_cache: FastMap<(u128, u128, u128), Option<Vec<u64>>>,
     solver_calls: u64,
     cache_hits: u64,
 }
@@ -1645,7 +1721,7 @@ impl<'a> DseAttack<'a> {
             budget,
             mode: ExploreMode::ForkPoint,
             solver: SearchSolver::new(),
-            solve_cache: HashMap::new(),
+            solve_cache: FastMap::default(),
             solver_calls: 0,
             cache_hits: 0,
         }
@@ -1958,7 +2034,8 @@ impl<'a, 'b> DseExplorer<'a, 'b> {
             // quickly, which matters for the final secret check).
             let data = Rc::new(RecordData { constraints: out.record.constraints });
             let n = data.constraints.len();
-            let mut first_at: HashMap<Constraint, usize> = HashMap::with_capacity(n);
+            let mut first_at: FastMap<Constraint, usize> =
+                FastMap::with_capacity_and_hasher(n, Default::default());
             for (i, c) in data.constraints.iter().enumerate() {
                 first_at.entry(*c).or_insert(i);
             }
@@ -2077,7 +2154,75 @@ impl<'a, 'b> DseExplorer<'a, 'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use raindrop_synth::{codegen, randomfuns, Goal as RfGoal};
+
+    /// `mem_symbolic` as it reads without the granule filter.
+    fn mem_symbolic_unfiltered(shadow: &Shadow, addr: u64, len: u64) -> bool {
+        (0..len).any(|i| shadow.bytes.contains_key(&addr.wrapping_add(i)))
+            || (0..(len + 7)).any(|d| {
+                let w = addr.wrapping_add(len).wrapping_sub(1).wrapping_sub(d);
+                shadow.words.contains_key(&w) && w.wrapping_add(8) > addr
+            })
+    }
+
+    /// Whether a tracked byte or word shares a byte with `len` bytes at
+    /// `addr` (all wrapping).
+    fn overlaps_tracked(shadow: &Shadow, addr: u64, len: u64) -> bool {
+        let inside = |b: u64| b.wrapping_sub(addr) < len;
+        shadow.bytes.keys().any(|&b| inside(b))
+            || shadow.words.keys().any(|&w| (0..8).any(|i| inside(w.wrapping_add(i))))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The granule counts always match the tracked words and bytes, and
+        /// a granule miss only ever skips work that would have found
+        /// nothing: every probe answers as the unfiltered lookups do, also
+        /// where addresses wrap around the top of the address space.
+        #[test]
+        fn granule_index_never_hides_tracked_memory(
+            near_top in any::<bool>(),
+            ops in proptest::collection::vec((0u8..4, 0u64..40, any::<bool>()), 0..60),
+        ) {
+            let base = if near_top { u64::MAX - 19 } else { 0x7fff_0ff0 };
+            let mut arena = ExprArena::new();
+            let x = arena.input(0);
+            let mut shadow = Shadow::new();
+            for &(kind, off, sym) in &ops {
+                let addr = base.wrapping_add(off);
+                let e = sym.then_some(x);
+                match kind {
+                    0 => shadow.store64(&mut arena, addr, e),
+                    1 => shadow.store8(&mut arena, addr, e),
+                    2 => shadow.clear_range(addr, 1),
+                    _ => shadow.clear_range(addr, 8),
+                }
+                let mut counts: FastMap<u64, u32> = FastMap::default();
+                for (&a, len) in shadow.words.keys().map(|a| (a, 8)).chain(shadow.bytes.keys().map(|a| (a, 1))) {
+                    let (first, last) = (a >> 3, a.wrapping_add(len - 1) >> 3);
+                    *counts.entry(first).or_insert(0) += 1;
+                    if last != first {
+                        *counts.entry(last).or_insert(0) += 1;
+                    }
+                }
+                prop_assert_eq!(&shadow.granules, &counts);
+                for probe in 0..56u64 {
+                    let addr = base.wrapping_add(probe).wrapping_sub(8);
+                    for len in [1, 8] {
+                        prop_assert_eq!(
+                            shadow.mem_symbolic(addr, len),
+                            mem_symbolic_unfiltered(&shadow, addr, len)
+                        );
+                        if overlaps_tracked(&shadow, addr, len) {
+                            prop_assert!(shadow.granule_hit(addr, len));
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn small_rf(goal: RfGoal, input_size: usize) -> raindrop_synth::RandomFun {
         randomfuns::generate(raindrop_synth::RandomFunConfig {
@@ -2114,7 +2259,7 @@ mod tests {
         let spec = InputSpec::RegisterArg { size_bytes: 4 };
         let run = shadow_run(&image, &rf.name, &spec, &[0], 10_000_000).unwrap();
         assert_eq!(run.record.hazard_cause, None, "native code stays fully symbolic");
-        let distinct: HashSet<Constraint> = run.record.constraints.iter().copied().collect();
+        let distinct: FastSet<Constraint> = run.record.constraints.iter().copied().collect();
         assert_eq!(run.record.branches_pre_hazard, distinct.len());
     }
 

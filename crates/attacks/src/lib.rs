@@ -66,6 +66,7 @@
 pub mod campaign;
 pub mod concolic;
 pub mod fleet;
+mod hashing;
 pub mod ropaware;
 pub mod solver;
 pub mod static_lift;

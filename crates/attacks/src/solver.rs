@@ -15,7 +15,10 @@
 //! candidate by running the tape forward, testing constraint *k* as soon
 //! as its operands are computed and stopping at the first violation.
 //! [`Constraint::satisfied_as_recorded`] over [`ExprArena::eval`] is the
-//! reference semantics the tape is tested against.
+//! reference semantics the tape is tested against. A random draw is
+//! first checked against the flipped constraint alone, on a tape of its
+//! own: only a draw that violates it as recorded can answer the flip, and
+//! most random draws do not, so they never reach the prefix scan.
 //!
 //! # Example
 //!
@@ -37,13 +40,14 @@
 //! assert_eq!(input[0], 42);
 //! ```
 
+use crate::hashing::FastMap;
 use crate::sym::{
     eval_bin, eval_un, hash_stream, invert, BinKind, EvalMemo, Expr, ExprArena, ExprId, UnKind,
 };
 use raindrop_machine::{Cond, Flags};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// One recorded path constraint: the flag-producing operands, the branch
 /// condition and the direction observed at record time.
@@ -170,8 +174,10 @@ pub struct SearchSolver {
     record: Vec<Constraint>,
     /// `record` compiled for candidate scans, grown at memo misses.
     tape: Tape,
+    /// The flipped constraint of the current random search on its own.
+    flip: Tape,
     /// candidate input -> first index of `record` it violates.
-    memo: HashMap<Vec<u64>, usize>,
+    memo: FastMap<Vec<u64>, usize>,
     /// Eval memo for the hint input (valid across one `feasible` call).
     eval_hint: EvalMemo,
 }
@@ -192,7 +198,8 @@ impl SearchSolver {
             draws: 0,
             record: Vec::new(),
             tape: Tape::default(),
-            memo: HashMap::new(),
+            flip: Tape::default(),
+            memo: FastMap::default(),
             eval_hint: EvalMemo::default(),
         }
     }
@@ -329,17 +336,29 @@ impl SearchSolver {
         } else {
             32
         };
+        self.flip.clear();
         let mut cand = hint.to_vec();
         for _ in 0..draws {
             for &var in &vars {
                 self.draws += 1;
                 cand[var] = self.rng.gen::<u64>() & mask;
             }
-            if self.first_violated(arena, &cand) == i {
+            if self.draw_answers(arena, i, &cand) {
                 return Some(cand);
             }
         }
         None
+    }
+
+    /// Whether a random draw answers flip `i` of the stored record, i.e.
+    /// `first_violated(cand) == i`. A draw can only do so if it violates
+    /// constraint `i` as recorded; most draws do not, and `flip` (that
+    /// constraint's tape alone, cleared at the start of each search)
+    /// rejects them without scanning the prefix or filling the memo with
+    /// values that never recur.
+    fn draw_answers(&mut self, arena: &ExprArena, i: usize, cand: &[u64]) -> bool {
+        self.flip.first_violated(arena, &self.record[i..=i], cand) == 0
+            && self.first_violated(arena, cand) == i
     }
 
     /// Signals that subsequent queries come from a fresh engine run (new
@@ -733,6 +752,32 @@ mod tests {
     /// so scans reach deep into the record before they stop.
     type Spec = (usize, usize, bool, usize, bool);
 
+    /// A record over `pool` whose `taken` bits follow `hint`, each flipped
+    /// where its spec says so.
+    fn recorded(
+        arena: &ExprArena,
+        pool: &[ExprId],
+        specs: &[Spec],
+        hint: &[u64],
+    ) -> Vec<Constraint> {
+        let mut memo = EvalMemo::default();
+        specs
+            .iter()
+            .map(|&(l, r, flag_is_sub, c, flipped)| {
+                let mut c = Constraint {
+                    lhs: pool[l % pool.len()],
+                    rhs: pool[r % pool.len()],
+                    flag_is_sub,
+                    cond: Cond::ALL[c],
+                    taken: false,
+                };
+                memo.reset();
+                c.taken = c.outcome(arena, hint, &mut memo) != flipped;
+                c
+            })
+            .collect()
+    }
+
     fn constraint_strategy() -> impl Strategy<Value = Spec> {
         (any::<usize>(), any::<usize>(), 0u8..2, 0usize..Cond::ALL.len(), 0u8..8)
             .prop_map(|(l, r, sub, c, f)| (l, r, sub == 0, c, f == 0))
@@ -754,27 +799,44 @@ mod tests {
         ) {
             let mut arena = ExprArena::new();
             let pool = build(&mut arena, &steps);
-            let mut memo = EvalMemo::default();
-            let record: Vec<Constraint> = specs
-                .iter()
-                .map(|&(l, r, flag_is_sub, c, flipped)| {
-                    let mut c = Constraint {
-                        lhs: pool[l % pool.len()],
-                        rhs: pool[r % pool.len()],
-                        flag_is_sub,
-                        cond: Cond::ALL[c],
-                        taken: false,
-                    };
-                    memo.reset();
-                    c.taken = c.outcome(&arena, &hint, &mut memo) != flipped;
-                    c
-                })
-                .collect();
+            let record = recorded(&arena, &pool, &specs, &hint);
             let mut tape = Tape::default();
             for input in std::iter::once(&hint).chain(&cands) {
                 prop_assert_eq!(
                     tape.first_violated(&arena, &record, input),
                     reference(&arena, &record, input),
+                    "input {:?}", input
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A random draw answers a flip exactly when the reference scan
+        /// puts its first violation at the flipped index, whether the
+        /// flipped constraint's own tape rejects it or the full scan does.
+        #[test]
+        fn draws_answer_flips_as_the_reference_scan(
+            steps in proptest::collection::vec(step_strategy(), 0..80),
+            specs in proptest::collection::vec(constraint_strategy(), 1..40),
+            hint in proptest::collection::vec(value_strategy(), 0..4),
+            cands in proptest::collection::vec(
+                proptest::collection::vec(value_strategy(), 0..4), 1..24),
+            at in any::<usize>(),
+        ) {
+            let mut arena = ExprArena::new();
+            let pool = build(&mut arena, &steps);
+            let record = recorded(&arena, &pool, &specs, &hint);
+            let i = at % record.len();
+            let mut solver = SearchSolver::new();
+            solver.sync_record(&flip_query(&record, i));
+            solver.flip.clear();
+            for input in std::iter::once(&hint).chain(&cands) {
+                prop_assert_eq!(
+                    solver.draw_answers(&arena, i, input),
+                    reference(&arena, &record[..=i], input) == i,
                     "input {:?}", input
                 );
             }

@@ -55,7 +55,8 @@
 //! assert_eq!(arena.eval(e, &[25], &mut memo), 42);
 //! ```
 
-use std::collections::{BTreeSet, HashMap};
+use crate::hashing::FastMap;
+use std::collections::BTreeSet;
 
 /// Binary operators of the expression language.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,7 +168,7 @@ const DAG_LOWER_BOUND: u32 = 0x8000_0000;
 #[derive(Default)]
 pub struct ExprArena {
     nodes: Vec<Node>,
-    intern: HashMap<Expr, ExprId>,
+    intern: FastMap<Expr, ExprId>,
     /// DAG-size cache, parallel to `nodes` (see [`DAG_LOWER_BOUND`]).
     dag: Vec<u32>,
     /// Visit stamps for bounded traversals, parallel to `nodes`.
